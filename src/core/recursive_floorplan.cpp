@@ -192,9 +192,9 @@ int RecursiveFloorplanner::unfixed_macro_count(HtNodeId node) const {
 // The recursion structure is a pure function of the hierarchy tree, the
 // declustering thresholds and the preplaced set -- never of the evolving
 // estimates -- so the whole schedule is computable before any layout
-// runs. Ordinals are assigned in DFS preorder, exactly the order the
-// legacy sequential DFS incremented its level counter, so anneal seeds
-// are unchanged and independent of execution order.
+// runs. Ordinals are assigned in DFS preorder, exactly the order a
+// sequential DFS would increment a level counter, so anneal seeds are
+// independent of execution order.
 void RecursiveFloorplanner::plan_recursion() {
   for (LevelPlan& p : plan_) p = LevelPlan{};
   std::uint64_t counter = 0;
@@ -271,17 +271,9 @@ void RecursiveFloorplanner::floorplan_level(HtNodeId nh, const Rect& region, int
   const TargetAreaResult areas = assign_target_areas(design_, adjacency_, ht_, nh, hcb);
 
   // --- step 5: dataflow inference. Snapshot semantics anchor every
-  // outside-macro terminal to the parent's committed layout; the legacy
-  // order reads the live store at this (sequential) DFS visit, which
-  // includes the refinements of earlier siblings. The per-level
-  // snapshot() copy that expresses "live" in snapshot vocabulary is
-  // O(cells) but disappears next to the level's anneal (legacy-mode
-  // suite walls match the pre-refactor runs; see BENCH_pr5.json).
-  const bool legacy = options_.legacy_estimate_order;
-  const EstimateSnapshot live = legacy ? store_.snapshot() : EstimateSnapshot{};
-  const EstimateSnapshot& estimates = legacy ? live : inherited;
+  // outside-macro terminal to the parent's committed layout.
   const LevelDataflow flow =
-      infer_level_dataflow(design_, ht_, seq_, nh, hcb, estimates, options_);
+      infer_level_dataflow(design_, ht_, seq_, nh, hcb, inherited, options_);
 
   // --- step 6: layout generation. First curve read of the recursion:
   // join the overlapped curve dispatch (a no-op below level 0).
@@ -304,12 +296,6 @@ void RecursiveFloorplanner::floorplan_level(HtNodeId nh, const Rect& region, int
   AnnealOptions anneal = options_.layout_anneal;
   anneal.seed = options_.job.seed * 0xd1342543de82ef95ULL + plan.ordinal;
   anneal.control = control;
-  if (options_.anneal_autoscale) {
-    // Opt-in effort scaling by this level's block count (see
-    // HiDaPOptions::anneal_autoscale; outside the bit-identity contract).
-    anneal.moves_per_temperature =
-        autoscaled_moves(anneal.moves_per_temperature, hcb.size());
-  }
   const LayoutSolution layout = optimize_layout(problem, anneal);
 
   // Snapshot for Fig. 1-style visualization.
@@ -323,10 +309,10 @@ void RecursiveFloorplanner::floorplan_level(HtNodeId nh, const Rect& region, int
   out.snapshots.push_back(std::move(snap));
 
   // First pass: commit this level's prototype centers so deeper levels
-  // (and, in legacy order, later siblings) see each block's position.
-  // The child snapshot is the inherited view plus exactly these writes,
-  // shared read-only by every child task -- and only materialized when
-  // some block actually recurses (leaf-most levels skip the copy).
+  // see each block's position. The child snapshot is the inherited view
+  // plus exactly these writes, shared read-only by every child task --
+  // and only materialized when some block actually recurses (leaf-most
+  // levels skip the copy).
   const std::size_t nb = hcb.size();
   std::vector<int> unfixed(nb);
   bool any_recurse = false;
@@ -335,8 +321,8 @@ void RecursiveFloorplanner::floorplan_level(HtNodeId nh, const Rect& region, int
     any_recurse = any_recurse || unfixed[b] > 1;
   }
   EstimateSnapshot child_snap;
-  if (!legacy && any_recurse) child_snap = inherited;
-  EstimateSnapshot* mirror = (legacy || !any_recurse) ? nullptr : &child_snap;
+  if (any_recurse) child_snap = inherited;
+  EstimateSnapshot* mirror = any_recurse ? &child_snap : nullptr;
   for (std::size_t b = 0; b < nb; ++b) {
     store_.set_region(hcb[b], layout.rects[b]);
     if (unfixed[b] > 0) {
@@ -360,10 +346,9 @@ void RecursiveFloorplanner::floorplan_level(HtNodeId nh, const Rect& region, int
       fix_single_macro(block, layout.rects[b], attract, child[b]);
     }
   };
-  if (legacy || !options_.parallel_levels) {
-    // Sequential DFS. With snapshot semantics this computes exactly what
-    // the scheduler computes (the differential oracle); with the legacy
-    // order the interleaving is load-bearing and must stay sequential.
+  if (!options_.parallel_levels) {
+    // Sequential DFS: computes exactly what the scheduler computes (the
+    // differential oracle).
     for (std::size_t b = 0; b < nb; ++b) process_block(b);
   } else {
     std::vector<std::function<void()>> tasks;

@@ -22,17 +22,15 @@
 //  2. Precomputed anneal ordinals. The recursion structure depends only
 //     on the hierarchy tree and the preplaced set, so plan_recursion()
 //     assigns each level its DFS-preorder ordinal up front and seeds are
-//     identical regardless of execution order (they equal the sequential
-//     ++counter seeds of the legacy DFS by construction).
+//     identical regardless of execution order (they equal the ++counter
+//     seeds of a sequential DFS by construction).
 //  3. Slot-indexed result collection. Each subtree fills a private
 //     SubtreeResult; fragments are spliced in DFS block order after the
 //     join, so PlacementResult is byte-stable at any thread count.
 //
 // parallel_levels = false runs the identical snapshot-semantics
 // computation as a plain sequential DFS -- the differential oracle for
-// the scheduler. legacy_estimate_order = true restores the pre-scheduler
-// behavior (inference sees earlier siblings' refinements; sequential
-// only), kept golden-pinned for comparison.
+// the scheduler.
 
 #include <atomic>
 #include <future>

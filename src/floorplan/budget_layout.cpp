@@ -4,6 +4,7 @@
 #include <bit>
 #include <cassert>
 #include <cstdint>
+#include <optional>
 
 namespace hidap {
 
@@ -34,9 +35,48 @@ BudgetNodeInfo budget_compose_info(int op, const BudgetNodeInfo& l, const Budget
 
 namespace {
 
-// Minimal extent of a subtree info (see budget_min_extent).
+// Minimal extent a subtree needs along the split axis, given the fixed
+// extent of the other axis; 0 when the subtree has no macros.
 double min_extent(const BudgetNodeInfo& info, double cross, bool along_width) {
-  return budget_min_extent(BudgetCurveRef::of(info.gamma), cross, along_width);
+  const ShapeCurve& gamma = info.gamma;
+  if (gamma.empty()) return 0.0;
+  const std::optional<double> fit = along_width ? gamma.min_width_for_height(cross)
+                                                : gamma.min_height_for_width(cross);
+  if (fit) return *fit;
+  // No point fits the cross extent: the cheapest (min-area) point defines
+  // the demand; the overflow is charged as macro deficit at the leaves.
+  const Shape cheapest = *gamma.min_area_shape();
+  return along_width ? cheapest.w : cheapest.h;
+}
+
+// Grades the final rectangle of a leaf block against its <Gamma, am, at>:
+// the violation adds that fire, in budget_apply_adds order.
+BudgetLeafAdds leaf_adds(const BudgetBlock& b, const Rect& rect) {
+  BudgetLeafAdds a;
+  const double area = rect.area();
+  if (area + 1e-9 < b.at) {
+    a.at_add = b.at - area;
+    a.flags |= BudgetLeafAdds::kAt;
+  }
+  if (area + 1e-9 < b.am) {
+    a.am_add = b.am - area;
+    a.flags |= BudgetLeafAdds::kAm;
+  }
+  if (!b.gamma.empty() && !b.gamma.fits(rect.w, rect.h)) {
+    a.flags |= BudgetLeafAdds::kMacro;
+    // Overflow area of the best attempt: how much macro bounding box
+    // sticks out of the rectangle.
+    double overflow = 0.0;
+    double best_overflow = -1.0;
+    for (const Shape& s : b.gamma.points()) {
+      const double ow = std::max(0.0, s.w - rect.w);
+      const double oh = std::max(0.0, s.h - rect.h);
+      overflow = ow * rect.h + oh * rect.w + ow * oh;
+      if (best_overflow < 0 || overflow < best_overflow) best_overflow = overflow;
+    }
+    a.macro_add = std::max(best_overflow, 0.0);
+  }
+  return a;
 }
 
 // One skip rule (full-pass-equivalent, valid from ANY accumulator
@@ -96,7 +136,7 @@ void assign(const SlicingTree& tree, const BudgetNodeInfo* const* infos,
   if (node.is_leaf()) {
     result.leaf_rects[static_cast<std::size_t>(node.leaf)] = rect;
     const BudgetLeafAdds adds =
-        budget_leaf_adds(blocks[static_cast<std::size_t>(node.leaf)], rect);
+        leaf_adds(blocks[static_cast<std::size_t>(node.leaf)], rect);
     budget_apply_adds(adds, result.violations);
     if (adds.fired() && skip != nullptr && skip->record != nullptr) {
       skip->record->fired.push_back({static_cast<std::uint32_t>(idx), adds});

@@ -8,6 +8,7 @@
 // label reruns this under TSan at HIDAP_THREADS=4).
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
@@ -44,7 +45,7 @@ class FaultSweepTest : public ::testing::Test {
     std::ostringstream verilog;
     write_verilog(design, verilog);
     verilog_text_ = new std::string(verilog.str());
-    verilog_path_ = new std::string("fault_sweep_input.v");
+    verilog_path_ = new std::string(scratch_path("input.v"));
     std::ofstream out(*verilog_path_, std::ios::binary);
     out << *verilog_text_;
     ASSERT_TRUE(out.good());
@@ -58,6 +59,14 @@ class FaultSweepTest : public ::testing::Test {
     verilog_path_ = nullptr;
   }
   void TearDown() override { failpoints::disarm_all(); }
+
+  // ctest runs every TEST of this suite as its own process, concurrently
+  // under -j, all in one working directory. Each process therefore owns
+  // its scratch files (keyed by pid): a neighbour's TearDownTestSuite
+  // can never delete an input this process is still reading.
+  static std::string scratch_path(const std::string& name) {
+    return "fault_sweep_" + std::to_string(::getpid()) + "_" + name;
+  }
 
   static HiDaPOptions quick_base() {
     HiDaPOptions o;
@@ -78,10 +87,20 @@ class FaultSweepTest : public ::testing::Test {
     return spec;
   }
 
+  // DEF bytes of a completed outcome; a failed outcome (which carries
+  // no design) fails the test instead of being dereferenced, and yields
+  // no bytes.
   static std::string def_bytes(const JobOutcome& outcome) {
+    std::string bytes;
+    write_def_bytes(outcome, bytes);
+    return bytes;
+  }
+  static void write_def_bytes(const JobOutcome& outcome, std::string& bytes) {
+    ASSERT_EQ(outcome.status, JobStatus::Completed) << outcome.error;
+    ASSERT_NE(outcome.design, nullptr);
     std::ostringstream out;
     write_def(*outcome.design, outcome.placement, out);
-    return out.str();
+    bytes = out.str();
   }
 
   // The never-faulted reference DEF, computed once (placements are
@@ -267,7 +286,7 @@ TEST_F(FaultSweepTest, FileReaderFaultsAreTypedIoErrors) {
   PlacementSession session(quick_base());
   const JobOutcome outcome = session.run(file_spec("def-source"));
   ASSERT_EQ(outcome.status, JobStatus::Completed);
-  const std::string def_path = "fault_sweep_roundtrip.def";
+  const std::string def_path = scratch_path("roundtrip.def");
   write_def_file(*outcome.design, outcome.placement, def_path);
   EXPECT_FALSE(parse_def_file(def_path).components.empty());
   ASSERT_TRUE(failpoints::arm("netlist.def_read", "throw"));
@@ -285,19 +304,20 @@ TEST_F(FaultSweepTest, BookshelfReaderFaultIsTypedIoError) {
   PlacementSession session(quick_base());
   const JobOutcome outcome = session.run(file_spec("bookshelf-source"));
   ASSERT_EQ(outcome.status, JobStatus::Completed);
-  write_bookshelf(*outcome.design, outcome.placement, "fault_sweep_bs");
-  EXPECT_GT(read_bookshelf("fault_sweep_bs").design.cell_count(), 0u);
+  const std::string base = scratch_path("bs");
+  write_bookshelf(*outcome.design, outcome.placement, base);
+  EXPECT_GT(read_bookshelf(base).design.cell_count(), 0u);
 
   ASSERT_TRUE(failpoints::arm("netlist.bookshelf_read", "throw"));
   try {
-    read_bookshelf("fault_sweep_bs");
+    read_bookshelf(base);
     FAIL() << "armed reader fault did not surface";
   } catch (const HidapError& e) {
     EXPECT_EQ(e.code(), ErrorCode::IoError);
   }
   failpoints::disarm("netlist.bookshelf_read");
   for (const char* ext : {".nodes", ".nets", ".pl", ".aux"}) {
-    std::remove((std::string("fault_sweep_bs") + ext).c_str());
+    std::remove((base + ext).c_str());
   }
 }
 

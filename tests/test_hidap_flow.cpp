@@ -1,7 +1,7 @@
 // End-to-end HiDaP flow tests on generated circuits: legality, recursion
 // snapshots, determinism, lambda sensitivity, and the task-graph
 // scheduler's bit-identity contracts (thread-count invariance, the
-// sequential snapshot oracle, the estimate-semantics golden pair).
+// sequential snapshot oracle, snapshot-semantics determinism).
 
 #include <gtest/gtest.h>
 
@@ -176,32 +176,17 @@ TEST_F(HidapFlowTest, SchedulerMatchesSequentialOracle) {
 }
 
 TEST_F(HidapFlowTest, EstimateSemanticsGoldenPair) {
-  // Snapshot semantics (default) and the legacy DFS-refinement order are
-  // both deterministic, both legal, and genuinely distinct: on this
-  // fixture the two modes disagree on at least one macro rectangle for
-  // every seed we pin (guards against either flag degenerating into a
-  // no-op alias of the other).
-  HiDaPOptions snapshot = quick_options(5);
-  HiDaPOptions legacy = quick_options(5);
-  legacy.legacy_estimate_order = true;
+  // Snapshot estimate semantics are deterministic and legal: two runs
+  // with the same seed agree on every macro, and every macro lands
+  // inside the die.
+  const HiDaPOptions snapshot = quick_options(5);
   const PlacementResult snap_a = place_macros(*design_, *context_, snapshot);
   const PlacementResult snap_b = place_macros(*design_, *context_, snapshot);
-  const PlacementResult leg_a = place_macros(*design_, *context_, legacy);
-  const PlacementResult leg_b = place_macros(*design_, *context_, legacy);
   expect_identical(snap_a, snap_b);
-  expect_identical(leg_a, leg_b);
   const Rect die{0, 0, design_->die().w, design_->die().h};
-  for (const PlacementResult* r : {&snap_a, &leg_a}) {
-    const PlacementCheck check = check_placement(*design_, *r, die);
-    EXPECT_TRUE(check.all_macros_placed);
-    EXPECT_TRUE(check.all_inside_die);
-  }
-  ASSERT_EQ(snap_a.macros.size(), leg_a.macros.size());
-  bool any_differs = false;
-  for (std::size_t i = 0; i < snap_a.macros.size(); ++i) {
-    if (!(snap_a.macros[i].rect == leg_a.macros[i].rect)) any_differs = true;
-  }
-  EXPECT_TRUE(any_differs) << "legacy estimate order produced the snapshot placement";
+  const PlacementCheck check = check_placement(*design_, snap_a, die);
+  EXPECT_TRUE(check.all_macros_placed);
+  EXPECT_TRUE(check.all_inside_die);
 }
 
 TEST_F(HidapFlowTest, ShapeCurvesThreadCountIdentity) {
