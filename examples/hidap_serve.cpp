@@ -63,6 +63,7 @@
 #include "util/error.hpp"
 #include "util/failpoint.hpp"
 #include "util/log.hpp"
+#include "util/text_cursor.hpp"
 
 using namespace hidap;
 
@@ -135,12 +136,18 @@ struct Server {
     spec.verilog_path = json_string(req, "verilog");
     spec.verilog_text = json_string(req, "verilog_text");
     spec.fix_def_path = json_string(req, "fix");
-    spec.seed = static_cast<std::uint64_t>(json_number(req, "seed", 1));
+    // Casting an out-of-range double to an integer is undefined behaviour.
+    const double seed = json_number(req, "seed", 1), chains = json_number(req, "chains", 1);
+    if (!(seed >= 0 && seed < 0x1p64 && chains > -0x1p31 && chains < 0x1p31)) {
+      emit_error(ErrorCode::InvalidRequest, "\"seed\" or \"chains\" out of range", id);
+      return;
+    }
+    spec.seed = static_cast<std::uint64_t>(seed);
     spec.lambda = json_number(req, "lambda", 0.5);
     spec.k = json_number(req, "k", 2.0);
     spec.macro_halo = json_number(req, "halo", 0.0);
     spec.effort = json_number(req, "effort", 1.0);
-    spec.chains = static_cast<int>(json_number(req, "chains", 1));
+    spec.chains = static_cast<int>(chains);
     spec.timeout_s = json_number(req, "timeout_s", 0.0);
     spec.max_input_bytes = limits.max_input_bytes;
     if (spec.verilog_path.empty() && spec.verilog_text.empty()) {
@@ -359,9 +366,8 @@ struct Server {
 }
 
 long parse_positive_arg(const char* flag, const char* value) {
-  char* end = nullptr;
-  const long v = std::strtol(value, &end, 10);
-  if (end == value || *end != '\0' || v <= 0) {
+  long v = 0;
+  if (parse_number(value, v) != std::errc{} || v <= 0) {
     std::fprintf(stderr, "hidap_serve: %s wants a positive integer, got '%s'\n", flag,
                  value);
     serve_usage();

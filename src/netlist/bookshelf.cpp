@@ -4,14 +4,14 @@
 #include <fstream>
 #include <iomanip>
 #include <map>
-#include <sstream>
-#include <stdexcept>
+#include <string_view>
 #include <unordered_map>
+#include <vector>
 
 #include "util/error.hpp"
 #include "util/failpoint.hpp"
 #include "util/log.hpp"
-#include "util/string_utils.hpp"
+#include "util/text_cursor.hpp"
 
 namespace hidap {
 
@@ -131,21 +131,47 @@ void write_bookshelf(const Design& design, const PlacementResult& placement,
 
 namespace {
 
-std::ifstream open_in(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw HidapError(ErrorCode::IoError, "cannot read " + path);
-  return in;
-}
+// One Bookshelf file, read whole and scanned row by row: '#' starts a
+// comment, blank rows are skipped, and the rest splits on whitespace.
+class BookshelfRows {
+ public:
+  explicit BookshelfRows(std::string path)
+      : path_(std::move(path)), text_(read_file(path_)), in_(text_) {}
+  BookshelfRows(const BookshelfRows&) = delete;  // in_ and row_ view text_
+  BookshelfRows& operator=(const BookshelfRows&) = delete;
 
-// Strips comments and blank lines; returns false at EOF.
-bool next_content_line(std::istream& in, std::string& line) {
-  while (std::getline(in, line)) {
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    if (!trim(line).empty()) return true;
+  /// The next non-blank row's tokens; empty at the end of the file.
+  const std::vector<std::string_view>& next() {
+    row_.clear();
+    while (row_.empty() && !in_.done()) {
+      line_ = in_.line();
+      const std::string_view rest = in_.take_while([](char c) { return c != '\n'; });
+      in_.take();
+      TextCursor fields(rest.substr(0, rest.find('#')));
+      for (std::string_view t = fields.token(); !t.empty(); t = fields.token()) row_.push_back(t);
+    }
+    return row_;
   }
-  return false;
-}
+
+  /// Field `i` of the current row as a double, or a ParseError.
+  double number(std::size_t i) const {
+    double value = 0;
+    if (i >= row_.size() || parse_number(row_[i], value) != std::errc{}) fail("bad number");
+    return value;
+  }
+
+  [[noreturn]] void fail(const std::string& msg) const {
+    throw HidapError(ErrorCode::ParseError,
+                     "bookshelf: " + path_ + " line " + std::to_string(line_) + ": " + msg);
+  }
+
+ private:
+  std::string path_;
+  std::string text_;
+  TextCursor in_;
+  int line_ = 0;
+  std::vector<std::string_view> row_;
+};
 
 }  // namespace
 
@@ -160,37 +186,36 @@ BookshelfDesign read_bookshelf(const std::string& basename,
     double w = 1.0, h = 1.0;
     bool terminal = false;
   };
-  std::map<std::string, NodeInfo> nodes;
+  std::map<std::string, NodeInfo, std::less<>> nodes;
 
   // ---- .nodes: first pass collects sizes -----------------------------
   {
-    std::ifstream in = open_in(basename + ".nodes");
-    std::string line;
+    BookshelfRows in(basename + ".nodes");
     double area_sum = 0.0;
     long movable = 0;
-    std::vector<std::pair<std::string, NodeInfo>> rows;
-    while (next_content_line(in, line)) {
-      if (line.find("UCLA") != std::string::npos) continue;
-      if (line.find("NumNodes") != std::string::npos ||
-          line.find("NumTerminals") != std::string::npos) {
+    std::vector<std::pair<const std::string, NodeInfo>*> rows;  // file order
+    for (const auto& row = in.next(); !row.empty(); in.next()) {
+      const std::string_view first = row[0];
+      if (first == "UCLA" || first.starts_with("NumNodes") || first.starts_with("NumTerminals")) {
         continue;
       }
-      std::istringstream ss(line);
-      std::string name, flag;
       NodeInfo info;
-      if (!(ss >> name >> info.w >> info.h)) {
-        throw HidapError(ErrorCode::ParseError, "bookshelf: bad .nodes line: " + line);
-      }
-      if (ss >> flag) info.terminal = (flag == "terminal");
+      info.w = in.number(1);
+      info.h = in.number(2);
+      info.terminal = row.size() > 3 && row[3] == "terminal";
       if (!info.terminal) {
         area_sum += info.w * info.h;
         ++movable;
       }
-      rows.emplace_back(std::move(name), info);
+      const auto [it, fresh] = nodes.emplace(row[0], info);
+      if (!fresh) in.fail("duplicate node '" + std::string(row[0]) + "'");
+      rows.push_back(&*it);
     }
     const double avg_area = movable > 0 ? area_sum / movable : 1.0;
     // Second pass: create cells; big movables are macros.
-    for (auto& [name, info] : rows) {
+    for (auto* const node : rows) {
+      const std::string& name = node->first;
+      NodeInfo& info = node->second;
       CellKind kind;
       MacroDefId def = kNoMacroDef;
       if (info.terminal) {
@@ -207,41 +232,30 @@ BookshelfDesign read_bookshelf(const std::string& basename,
         kind = CellKind::Comb;
       }
       info.cell = design.add_cell(design.root(), name, kind, info.w * info.h, def);
-      nodes.emplace(name, info);
     }
   }
 
   // ---- .nets ---------------------------------------------------------
   {
-    std::ifstream in = open_in(basename + ".nets");
-    std::string line;
+    BookshelfRows in(basename + ".nets");
     NetId current = kInvalidId;
-    while (next_content_line(in, line)) {
-      if (line.find("UCLA") != std::string::npos ||
-          line.find("NumNets") != std::string::npos ||
-          line.find("NumPins") != std::string::npos) {
+    for (const auto& row = in.next(); !row.empty(); in.next()) {
+      const std::string_view first = row[0];
+      if (first == "UCLA" || first.starts_with("NumNets") || first.starts_with("NumPins")) {
         continue;
       }
-      if (line.find("NetDegree") != std::string::npos) {
-        std::istringstream ss(line);
-        std::string tag, colon, name;
-        int degree = 0;
-        ss >> tag >> colon >> degree >> name;
-        current = design.add_net(name.empty() ? "net" : name);
+      if (first.starts_with("NetDegree")) {
+        // "NetDegree : <degree> [name]"; the degree must be a number but is unused.
+        std::size_t at = row.size() > 1 && row[1] == ":" ? 2 : 1;
+        if (at < row.size()) in.number(at++);
+        current = design.add_net(at < row.size() ? std::string(row[at]) : "net");
         continue;
       }
-      if (current == kInvalidId) {
-        throw HidapError(ErrorCode::ParseError, "bookshelf: pin before NetDegree: " + line);
-      }
-      std::istringstream ss(line);
-      std::string name, dir;
-      ss >> name >> dir;
-      const auto it = nodes.find(name);
-      if (it == nodes.end()) {
-        throw HidapError(ErrorCode::ParseError, "bookshelf: unknown node '" + name + "'");
-      }
+      if (current == kInvalidId) in.fail("pin before NetDegree");
+      const auto it = nodes.find(row[0]);
+      if (it == nodes.end()) in.fail("unknown node '" + std::string(row[0]) + "'");
       const CellId cell = it->second.cell;
-      if (dir == "O") {
+      if (row.size() > 1 && row[1] == "O") {
         design.set_driver(current, cell);
       } else {
         design.add_sink(current, cell);
@@ -251,16 +265,13 @@ BookshelfDesign read_bookshelf(const std::string& basename,
 
   // ---- .pl -----------------------------------------------------------
   {
-    std::ifstream in = open_in(basename + ".pl");
-    std::string line;
+    BookshelfRows in(basename + ".pl");
     Rect bbox{0, 0, 0, 0};
-    while (next_content_line(in, line)) {
-      if (line.find("UCLA") != std::string::npos) continue;
-      std::istringstream ss(line);
-      std::string name;
-      double x = 0, y = 0;
-      if (!(ss >> name >> x >> y)) continue;
-      const auto it = nodes.find(name);
+    for (const auto& row = in.next(); !row.empty(); in.next()) {
+      if (row[0] == "UCLA") continue;
+      const double x = in.number(1);
+      const double y = in.number(2);
+      const auto it = nodes.find(row[0]);
       if (it == nodes.end()) continue;
       const NodeInfo& info = it->second;
       const Cell& cell = design.cell(info.cell);

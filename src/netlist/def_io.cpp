@@ -1,17 +1,13 @@
 #include "netlist/def_io.hpp"
 
-#include <cctype>
 #include <cmath>
 #include <fstream>
-#include <istream>
-#include <ostream>
 #include <sstream>
-#include <stdexcept>
 #include <unordered_map>
 
 #include "util/failpoint.hpp"
 #include "util/log.hpp"
-#include "util/string_utils.hpp"
+#include "util/text_cursor.hpp"
 
 namespace hidap {
 
@@ -19,49 +15,11 @@ namespace {
 
 long to_db(double microns, int upm) { return std::lround(microns * upm); }
 
-// Whitespace-delimited tokenizer that tracks the 1-based source line of
-// the token it last produced, so every parse failure can say where
-// (DefParseError), like VerilogParseError does for netlists.
-class DefTokens {
- public:
-  explicit DefTokens(std::istream& in) : in_(in) {}
-
-  /// Next token, or false at EOF.
-  bool next(std::string& token) {
-    token.clear();
-    int c;
-    while ((c = in_.get()) != std::istream::traits_type::eof()) {
-      if (c == '\n') {
-        ++line_;
-        if (!token.empty()) return true;
-      } else if (std::isspace(static_cast<unsigned char>(c)) != 0) {
-        if (!token.empty()) return true;
-      } else {
-        if (token.empty()) token_line_ = line_;
-        token.push_back(static_cast<char>(c));
-      }
-    }
-    return !token.empty();
-  }
-
-  /// Line the last token started on (or the current line at EOF).
-  int line() const { return token_line_; }
-
-  [[noreturn]] void fail(const std::string& msg) const {
-    throw DefParseError(msg, token_line_);
-  }
-
- private:
-  std::istream& in_;
-  int line_ = 1;
-  int token_line_ = 1;
-};
-
-Orientation orientation_from_string(const std::string& s, const DefTokens& tokens) {
+Orientation orientation_from_string(std::string_view s, int line) {
   for (const Orientation o : kAllOrientations) {
     if (to_string(o) == s) return o;
   }
-  throw DefParseError("unknown orientation '" + s + "'", tokens.line());
+  throw DefParseError("unknown orientation '" + std::string(s) + "'", line);
 }
 
 }  // namespace
@@ -106,76 +64,63 @@ void write_def_file(const Design& design, const PlacementResult& placement,
   write_def(design, placement, out, options);
 }
 
-DefContents parse_def(std::istream& in) {
+DefContents parse_def_text(std::string_view text) {
   HIDAP_FAILPOINT("netlist.def_parse");
   DefContents def;
   int upm = 1000;
-  DefTokens tokens(in);
-  std::string token;
+  TextCursor in(text);
+  std::string_view token;
+  int line = 1;  // line of the last token read: every failure reports it
   const auto expect = [&](const char* what) {
-    if (!tokens.next(token)) tokens.fail(std::string("expected ") + what);
+    token = in.token();
+    if (token.empty()) throw DefParseError(std::string("expected ") + what, line);
+    line = in.line();
     return token;
   };
-  const auto expect_int = [&](const char* what) {
-    const std::string& text = expect(what);
-    try {
-      std::size_t used = 0;
-      const int value = std::stoi(text, &used);
-      if (used != text.size()) tokens.fail(std::string("bad ") + what + " '" + text + "'");
-      return value;
-    } catch (const DefParseError&) {
-      throw;
-    } catch (const std::exception&) {
-      tokens.fail(std::string("bad ") + what + " '" + text + "'");
+  const auto number = [&](auto& out, const char* what) {
+    if (parse_number(expect(what), out) != std::errc{}) {
+      throw DefParseError(std::string("bad ") + what + " '" + std::string(token) + "'", line);
     }
   };
-  const auto expect_num = [&](const char* what) {
-    const std::string& text = expect(what);
-    try {
-      std::size_t used = 0;
-      const double value = std::stod(text, &used);
-      if (used != text.size()) tokens.fail(std::string("bad ") + what + " '" + text + "'");
-      return value;
-    } catch (const DefParseError&) {
-      throw;
-    } catch (const std::exception&) {
-      tokens.fail(std::string("bad ") + what + " '" + text + "'");
-    }
-  };
-  while (tokens.next(token)) {
+  while (!(token = in.token()).empty()) {
+    line = in.line();
     if (token == "DESIGN") {
       def.design_name = expect("design name");
     } else if (token == "UNITS") {
       expect("DISTANCE");
       expect("MICRONS");
-      upm = expect_int("units");
-      if (upm <= 0) tokens.fail("units must be positive");
+      number(upm, "units");
+      if (upm <= 0) throw DefParseError("units must be positive", line);
     } else if (token == "DIEAREA") {
+      double x0 = 0, y0 = 0, x1 = 0, y1 = 0;
       expect("(");
-      const double x0 = expect_num("x0");
-      const double y0 = expect_num("y0");
+      number(x0, "x0");
+      number(y0, "y0");
       expect(")");
       expect("(");
-      const double x1 = expect_num("x1");
-      const double y1 = expect_num("y1");
+      number(x1, "x1");
+      number(y1, "y1");
       def.die = Rect{x0 / upm, y0 / upm, (x1 - x0) / upm, (y1 - y0) / upm};
     } else if (token == "COMPONENTS") {
-      const int count = expect_int("component count");
+      int count = 0;
+      number(count, "component count");
       expect(";");
       for (int i = 0; i < count; ++i) {
-        if (expect("-") != "-") tokens.fail("expected '-'");
+        if (expect("-") != "-") throw DefParseError("expected '-'", line);
         DefComponent comp;
         comp.name = expect("component name");
         comp.def_name = expect("def name");
         // Scan for "+ PLACED ( x y ) ORIENT ;"
         while (expect("PLACED or +") != "PLACED") {
-          if (token == ";") tokens.fail("component without PLACED");
+          if (token == ";") throw DefParseError("component without PLACED", line);
         }
+        double x = 0, y = 0;
         expect("(");
-        comp.location.x = expect_num("x") / upm;
-        comp.location.y = expect_num("y") / upm;
+        number(x, "x");
+        number(y, "y");
+        comp.location = Point{x / upm, y / upm};
         expect(")");
-        comp.orientation = orientation_from_string(expect("orientation"), tokens);
+        comp.orientation = orientation_from_string(expect("orientation"), line);
         expect(";");
         def.components.push_back(std::move(comp));
       }
@@ -187,11 +132,15 @@ DefContents parse_def(std::istream& in) {
   return def;
 }
 
+DefContents parse_def(std::istream& in) {
+  std::ostringstream text;
+  text << in.rdbuf();
+  return parse_def_text(text.str());
+}
+
 DefContents parse_def_file(const std::string& path) {
   HIDAP_FAILPOINT("netlist.def_read");
-  std::ifstream in(path);
-  if (!in) throw HidapError(ErrorCode::IoError, "cannot read " + path);
-  return parse_def(in);
+  return parse_def_text(read_file(path));
 }
 
 std::size_t apply_def_placement(const Design& design, const DefContents& def,

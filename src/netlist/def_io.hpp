@@ -8,6 +8,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/result.hpp"
@@ -56,8 +57,10 @@ struct DefContents {
 };
 
 /// Parses the subset written by write_def; throws DefParseError (with
-/// the offending line number) on malformed input and HidapError
-/// (ErrorCode::IoError) when the file cannot be read.
+/// the offending line number) on malformed input, including numbers
+/// that are not one whole token, and HidapError (ErrorCode::IoError)
+/// when the file cannot be read. parse_def reads the whole stream first.
+DefContents parse_def_text(std::string_view text);
 DefContents parse_def(std::istream& in);
 DefContents parse_def_file(const std::string& path);
 

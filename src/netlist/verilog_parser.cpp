@@ -1,247 +1,205 @@
 #include "netlist/verilog_parser.hpp"
 
-#include <cctype>
-#include <fstream>
-#include <istream>
+#include <algorithm>
 #include <map>
 #include <optional>
-#include <sstream>
+#include <string_view>
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "util/failpoint.hpp"
-#include "util/log.hpp"
-#include "util/string_utils.hpp"
+#include "util/text_cursor.hpp"
 
 namespace hidap {
 
 namespace {
 
-// ------------------------------------------------------------------ lexer
-
-enum class TokKind { Ident, Number, Punct, End };
-
-struct Token {
-  TokKind kind = TokKind::End;
-  std::string text;
-  int line = 1;
-};
-
-class Lexer {
- public:
-  explicit Lexer(std::istream& in) : in_(in) { advance(); }
-
-  const Token& peek() const { return current_; }
-
-  Token take() {
-    Token t = current_;
-    advance();
-    return t;
-  }
-
-  /// Comment lines beginning with //HIDAP_ are surfaced here instead of
-  /// being skipped, so the macro header can be read.
-  const std::vector<std::string>& directives() const { return directives_; }
-
- private:
-  void advance() {
-    skip_space_and_comments();
-    current_.line = line_;
-    const int c = in_.peek();
-    if (c == EOF) {
-      current_ = {TokKind::End, "", line_};
-      return;
-    }
-    if (std::isalpha(c) || c == '_' || c == '\\') {
-      std::string text;
-      if (c == '\\') {  // escaped identifier: up to whitespace
-        in_.get();
-        while (in_.peek() != EOF && !std::isspace(in_.peek())) {
-          text.push_back(static_cast<char>(in_.get()));
-        }
-      } else {
-        while (in_.peek() != EOF &&
-               (std::isalnum(in_.peek()) || in_.peek() == '_' || in_.peek() == '$')) {
-          text.push_back(static_cast<char>(in_.get()));
-        }
-      }
-      current_ = {TokKind::Ident, std::move(text), line_};
-      return;
-    }
-    if (std::isdigit(c) || c == '-' || c == '+') {
-      // Only a sign/dot followed by a digit begins a number; a lone '.'
-      // or '-' is punctuation (named connections use '.pin').
-      if (!std::isdigit(c)) {
-        const char sign = static_cast<char>(in_.get());
-        if (!std::isdigit(in_.peek()) && in_.peek() != '.') {
-          current_ = {TokKind::Punct, std::string(1, sign), line_};
-          return;
-        }
-        in_.unget();
-      }
-      std::string text;
-      while (in_.peek() != EOF &&
-             (std::isdigit(in_.peek()) || in_.peek() == '.' || in_.peek() == 'e' ||
-              in_.peek() == 'E' || in_.peek() == '-' || in_.peek() == '+')) {
-        text.push_back(static_cast<char>(in_.get()));
-      }
-      current_ = {TokKind::Number, std::move(text), line_};
-      return;
-    }
-    current_ = {TokKind::Punct, std::string(1, static_cast<char>(in_.get())), line_};
-  }
-
-  void skip_space_and_comments() {
-    while (true) {
-      int c = in_.peek();
-      if (c == '\n') {
-        ++line_;
-        in_.get();
-        continue;
-      }
-      if (std::isspace(c)) {
-        in_.get();
-        continue;
-      }
-      if (c == '/') {
-        in_.get();
-        if (in_.peek() == '/') {
-          in_.get();
-          std::string rest;
-          while (in_.peek() != EOF && in_.peek() != '\n') {
-            rest.push_back(static_cast<char>(in_.get()));
-          }
-          if (starts_with(rest, "HIDAP_")) directives_.push_back(rest);
-          continue;
-        }
-        if (in_.peek() == '*') {
-          in_.get();
-          int prev = 0;
-          while (in_.peek() != EOF) {
-            const int cur = in_.get();
-            if (cur == '\n') ++line_;
-            if (prev == '*' && cur == '/') break;
-            prev = cur;
-          }
-          continue;
-        }
-        in_.unget();  // a lone '/'
-        return;
-      }
-      return;
-    }
-  }
-
-  std::istream& in_;
-  Token current_;
-  int line_ = 1;
-  std::vector<std::string> directives_;
-};
-
 // --------------------------------------------------------------- AST types
+//
+// Names are views into the netlist text, which outlives the parse.
 
 struct NetRef {
-  std::string name;
+  std::string_view name;
   int bit = -1;  ///< -1 = scalar reference
 };
 
 struct Connection {
-  std::string pin;
+  std::string_view pin;
   std::optional<NetRef> net;  ///< nullopt = unconnected .pin()
 };
 
 struct Instance {
-  std::string def_name;
-  std::string inst_name;
-  std::map<std::string, double> params;
+  std::string_view def_name;
+  std::string_view inst_name;
+  std::map<std::string_view, double> params;
   std::vector<Connection> conns;
   int line = 0;
 };
 
 struct WireDecl {
-  std::string name;
+  std::string_view name;
   int msb = -1, lsb = -1;  ///< -1/-1 = scalar
   bool is_port = false;
   bool is_output = false;
 };
 
 struct ModuleDef {
-  std::string name;
-  std::vector<std::string> port_order;
+  std::string_view name;
   std::vector<WireDecl> wires;
   std::vector<Instance> instances;
 };
 
+/// `text` as a T, or a VerilogParseError at `line`.
+template <typename T>
+T to_number(std::string_view text, int line) {
+  T value{};
+  if (parse_number(text, value) != std::errc{}) {
+    const char* kind = std::is_integral_v<T> ? "integer" : "number";
+    throw VerilogParseError(std::string("bad ") + kind + " '" + std::string(text) + "'", line);
+  }
+  return value;
+}
+
 // ------------------------------------------------------------------ parser
+
+enum class TokKind { Ident, Number, Punct, End };
+
+struct Token {
+  TokKind kind = TokKind::End;
+  std::string_view text;
+  int line = 1;
+};
 
 class Parser {
  public:
-  explicit Parser(std::istream& in) : lex_(in) {}
+  explicit Parser(std::string_view text) : in_(text) { advance(); }
 
   std::vector<ModuleDef> parse_all() {
     std::vector<ModuleDef> modules;
-    while (lex_.peek().kind != TokKind::End) {
-      expect_ident("module");
+    while (tok_.kind != TokKind::End) {
+      if (tok_.text != "module") fail("expected 'module', got '" + std::string(tok_.text) + "'");
+      advance();
       modules.push_back(parse_module());
     }
     return modules;
   }
 
-  const std::vector<std::string>& directives() const { return lex_.directives(); }
+  /// Macro geometry and die size from the //HIDAP_ comment headers.
+  const std::vector<MacroDef>& macro_defs() const { return macro_defs_; }
+  const Die& die() const { return die_; }
 
  private:
-  [[noreturn]] void fail(const std::string& msg) {
-    throw VerilogParseError(msg, lex_.peek().line);
-  }
-
-  Token expect(TokKind kind, const char* what) {
-    if (lex_.peek().kind != kind) fail(std::string("expected ") + what + ", got '" + lex_.peek().text + "'");
-    return lex_.take();
-  }
-
-  void expect_punct(char c) {
-    const Token t = expect(TokKind::Punct, "punctuation");
-    if (t.text[0] != c) {
-      throw VerilogParseError(std::string("expected '") + c + "', got '" + t.text + "'", t.line);
+  // Lexes the next token into tok_.
+  void advance() {
+    skip_space_and_comments();
+    const int line = in_.line();
+    const char c = in_.peek();
+    if (in_.done()) {
+      tok_ = {TokKind::End, {}, line};
+    } else if (c == '\\') {  // escaped identifier: up to whitespace
+      in_.take();
+      tok_ = {TokKind::Ident, in_.take_while([](char ch) { return !ascii::is_space(ch); }), line};
+    } else if (ascii::is_alpha(c) || c == '_') {
+      tok_ = {TokKind::Ident, in_.take_while([](char ch) {
+                return ascii::is_alpha(ch) || ascii::is_digit(ch) || ch == '_' || ch == '$';
+              }),
+              line};
+    } else if (ascii::is_digit(c) || ((c == '-' || c == '+') &&
+                                      (ascii::is_digit(in_.peek(1)) || in_.peek(1) == '.'))) {
+      // Only a sign followed by a digit or '.' begins a number; a lone '.'
+      // or '-' is punctuation (named connections use '.pin').
+      tok_ = {TokKind::Number, in_.take_while(ascii::is_number_char), line};
+    } else {
+      tok_ = {TokKind::Punct, in_.rest().substr(0, 1), line};
+      in_.take();
     }
   }
 
-  void expect_ident(const std::string& kw) {
-    const Token t = expect(TokKind::Ident, kw.c_str());
-    if (t.text != kw) throw VerilogParseError("expected '" + kw + "', got '" + t.text + "'", t.line);
+  void skip_space_and_comments() {
+    while (true) {
+      in_.skip_ws();
+      if (in_.peek() != '/') return;
+      if (in_.peek(1) == '/') {
+        in_.take();
+        in_.take();
+        const int line = in_.line();
+        const std::string_view rest = in_.take_while([](char ch) { return ch != '\n'; });
+        if (rest.starts_with("HIDAP_")) parse_directive(rest, line);
+      } else if (in_.peek(1) == '*') {
+        in_.take();
+        in_.take();
+        while (!in_.done() && !(in_.take() == '*' && in_.peek() == '/')) {
+        }
+        in_.take();  // the closing slash
+      } else {
+        return;  // a lone '/'
+      }
+    }
   }
 
+  [[noreturn]] void fail(const std::string& msg) { throw VerilogParseError(msg, tok_.line); }
+
+  Token expect(TokKind kind, const char* what) {
+    if (tok_.kind != kind) {
+      fail(std::string("expected ") + what + ", got '" + std::string(tok_.text) + "'");
+    }
+    const Token t = tok_;
+    advance();
+    return t;
+  }
+
+  std::string_view expect_name(const char* what) { return expect(TokKind::Ident, what).text; }
+
   bool accept_punct(char c) {
-    if (lex_.peek().kind == TokKind::Punct && lex_.peek().text[0] == c) {
-      lex_.take();
+    if (tok_.kind == TokKind::Punct && tok_.text[0] == c) {
+      advance();
       return true;
     }
     return false;
   }
 
+  void expect_punct(char c) {
+    if (!accept_punct(c)) {
+      fail(std::string("expected '") + c + "', got '" + std::string(tok_.text) + "'");
+    }
+  }
+
+  // `item` repeated, separated by ',', up to and including a ')'; the
+  // opening '(' is already consumed.
+  template <typename Item>
+  void parse_list(Item item) {
+    if (accept_punct(')')) return;
+    while (true) {
+      item();
+      if (accept_punct(')')) return;
+      expect_punct(',');
+    }
+  }
+
+  template <typename T>
+  T expect_number() {
+    const Token t = expect(TokKind::Number, "number");
+    return to_number<T>(t.text, t.line);
+  }
+
   ModuleDef parse_module() {
     ModuleDef mod;
-    mod.name = expect(TokKind::Ident, "module name").text;
-    if (accept_punct('(')) {
-      if (!accept_punct(')')) {
-        while (true) {
-          mod.port_order.push_back(expect(TokKind::Ident, "port name").text);
-          if (accept_punct(')')) break;
-          expect_punct(',');
-        }
-      }
-    }
+    mod.name = expect_name("module name");
+    // Port directions come from the declarations, not the port list.
+    if (accept_punct('(')) parse_list([&] { expect_name("port name"); });
     expect_punct(';');
     while (true) {
-      const Token& t = lex_.peek();
-      if (t.kind == TokKind::End) fail("unexpected end of file inside module");
-      if (t.kind != TokKind::Ident) fail("expected statement, got '" + t.text + "'");
-      if (t.text == "endmodule") {
-        lex_.take();
+      if (tok_.kind == TokKind::End) fail("unexpected end of file inside module");
+      if (tok_.kind != TokKind::Ident) {
+        fail("expected statement, got '" + std::string(tok_.text) + "'");
+      }
+      if (tok_.text == "endmodule") {
+        advance();
         break;
       }
-      if (t.text == "wire" || t.text == "input" || t.text == "output") {
+      if (tok_.text == "wire" || tok_.text == "input" || tok_.text == "output") {
         parse_decl(mod);
       } else {
         mod.instances.push_back(parse_instance());
@@ -251,142 +209,145 @@ class Parser {
   }
 
   void parse_decl(ModuleDef& mod) {
-    const Token kw = lex_.take();
     WireDecl proto;
-    proto.is_port = (kw.text != "wire");
-    proto.is_output = (kw.text == "output");
+    proto.is_port = (tok_.text != "wire");
+    proto.is_output = (tok_.text == "output");
+    advance();
     if (accept_punct('[')) {
-      proto.msb = static_cast<int>(parse_number());
+      proto.msb = expect_number<int>();
       expect_punct(':');
-      proto.lsb = static_cast<int>(parse_number());
+      proto.lsb = expect_number<int>();
       expect_punct(']');
     }
     while (true) {
       WireDecl d = proto;
-      d.name = expect(TokKind::Ident, "wire name").text;
-      mod.wires.push_back(std::move(d));
+      d.name = expect_name("wire name");
+      mod.wires.push_back(d);
       if (accept_punct(';')) break;
       expect_punct(',');
     }
   }
 
-  double parse_number() {
-    const Token t = expect(TokKind::Number, "number");
-    try {
-      return std::stod(t.text);
-    } catch (const std::exception&) {
-      throw VerilogParseError("bad number '" + t.text + "'", t.line);
-    }
-  }
-
   Instance parse_instance() {
     Instance inst;
-    inst.line = lex_.peek().line;
-    inst.def_name = expect(TokKind::Ident, "instance type").text;
+    inst.line = tok_.line;
+    inst.def_name = expect_name("instance type");
     if (accept_punct('#')) {
       expect_punct('(');
-      if (!accept_punct(')')) {
-        while (true) {
-          expect_punct('.');
-          const std::string key = expect(TokKind::Ident, "parameter name").text;
-          expect_punct('(');
-          inst.params[key] = parse_number();
-          expect_punct(')');
-          if (accept_punct(')')) break;
-          expect_punct(',');
-        }
-      }
-    }
-    inst.inst_name = expect(TokKind::Ident, "instance name").text;
-    expect_punct('(');
-    if (!accept_punct(')')) {
-      while (true) {
+      parse_list([&] {
         expect_punct('.');
-        Connection conn;
-        conn.pin = expect(TokKind::Ident, "pin name").text;
+        const std::string_view key = expect_name("parameter name");
         expect_punct('(');
-        if (!accept_punct(')')) {
-          NetRef ref;
-          ref.name = expect(TokKind::Ident, "net name").text;
-          if (accept_punct('[')) {
-            ref.bit = static_cast<int>(parse_number());
-            expect_punct(']');
-          }
-          conn.net = ref;
-          expect_punct(')');
-        }
-        inst.conns.push_back(std::move(conn));
-        if (accept_punct(')')) break;
-        expect_punct(',');
-      }
+        inst.params[key] = expect_number<double>();
+        expect_punct(')');
+      });
     }
+    inst.inst_name = expect_name("instance name");
+    expect_punct('(');
+    parse_list([&] {
+      expect_punct('.');
+      Connection conn;
+      conn.pin = expect_name("pin name");
+      expect_punct('(');
+      if (!accept_punct(')')) {
+        NetRef ref;
+        ref.name = expect_name("net name");
+        if (accept_punct('[')) {
+          ref.bit = expect_number<int>();
+          expect_punct(']');
+        }
+        conn.net = ref;
+        expect_punct(')');
+      }
+      inst.conns.push_back(conn);
+    });
     expect_punct(';');
     return inst;
   }
 
-  Lexer lex_;
+  // One //HIDAP_MACRO, //HIDAP_PIN or //HIDAP_DIE header line; other
+  // HIDAP_ tags are ignored.
+  void parse_directive(std::string_view text, int line) {
+    TextCursor in(text);
+    const auto word = [&]() {
+      const std::string_view w = in.token();
+      if (w.empty()) throw VerilogParseError("truncated //" + std::string(text), line);
+      return w;
+    };
+    const auto number = [&](auto& out) {
+      out = to_number<std::remove_reference_t<decltype(out)>>(word(), line);
+    };
+    const std::string_view tag = in.token();
+    if (tag == "HIDAP_MACRO") {
+      MacroDef def;
+      def.name = word();
+      if (find_macro(def.name)) throw VerilogParseError("duplicate macro " + def.name, line);
+      number(def.w);
+      number(def.h);
+      macro_defs_.push_back(std::move(def));
+    } else if (tag == "HIDAP_PIN") {
+      MacroDef* def = find_macro(word());
+      if (!def) throw VerilogParseError("pin of an undeclared macro", line);
+      MacroPin pin;
+      int is_out = 0;
+      pin.name = word();
+      number(pin.offset.x);
+      number(pin.offset.y);
+      number(pin.bits);
+      number(is_out);
+      pin.is_output = is_out != 0;
+      def->pins.push_back(pin);
+    } else if (tag == "HIDAP_DIE") {
+      number(die_.w);
+      number(die_.h);
+    }
+  }
+
+  MacroDef* find_macro(std::string_view name) {
+    for (MacroDef& def : macro_defs_) {
+      if (def.name == name) return &def;
+    }
+    return nullptr;
+  }
+
+  TextCursor in_;
+  Token tok_;
+  std::vector<MacroDef> macro_defs_;
+  Die die_;
 };
 
 // -------------------------------------------------------------- elaborator
 
-bool is_primitive(const std::string& def_name) {
-  return starts_with(def_name, "HIDAP_");
+bool is_primitive(std::string_view def_name) {
+  return def_name.starts_with("HIDAP_");
 }
 
 // Output pins: O*, Q* on primitives.
-bool primitive_pin_is_output(const std::string& pin) {
+bool primitive_pin_is_output(std::string_view pin) {
   return !pin.empty() && (pin[0] == 'O' || pin[0] == 'Q');
 }
 
 class Elaborator {
  public:
-  Elaborator(const std::vector<ModuleDef>& modules,
-             const std::vector<std::string>& directives)
-      : modules_(modules) {
+  Elaborator(const std::vector<ModuleDef>& modules, const std::vector<MacroDef>& macro_defs,
+             const Die& die)
+      : modules_(modules), macro_defs_(macro_defs), die_(die) {
     for (const ModuleDef& m : modules_) by_name_[m.name] = &m;
-    parse_directives(directives);
   }
 
   Design elaborate() {
     const ModuleDef& top = find_top();
-    Design design(top.name);
+    Design design{std::string(top.name)};
     design.set_die(die_);
-    for (MacroDef& def : macro_defs_) design.library().add(def);
+    for (const MacroDef& def : macro_defs_) design.library().add(def);
     std::unordered_map<std::string, NetId> no_bindings;
     elaborate_module(design, top, design.root(), no_bindings);
     return design;
   }
 
  private:
-  void parse_directives(const std::vector<std::string>& directives) {
-    for (const std::string& d : directives) {
-      std::istringstream ss(d);
-      std::string tag;
-      ss >> tag;
-      if (tag == "HIDAP_MACRO") {
-        MacroDef def;
-        ss >> def.name >> def.w >> def.h;
-        macro_defs_.push_back(std::move(def));
-      } else if (tag == "HIDAP_PIN") {
-        std::string macro_name;
-        MacroPin pin;
-        int is_out = 0;
-        ss >> macro_name >> pin.name >> pin.offset.x >> pin.offset.y >> pin.bits >> is_out;
-        pin.is_output = is_out != 0;
-        for (MacroDef& def : macro_defs_) {
-          if (def.name == macro_name) {
-            def.pins.push_back(pin);
-            break;
-          }
-        }
-      } else if (tag == "HIDAP_DIE") {
-        ss >> die_.w >> die_.h;
-      }
-    }
-  }
-
   const ModuleDef& find_top() const {
-    std::unordered_set<std::string> instantiated;
+    std::unordered_set<std::string_view> instantiated;
     for (const ModuleDef& m : modules_) {
       for (const Instance& inst : m.instances) {
         if (!is_primitive(inst.def_name)) instantiated.insert(inst.def_name);
@@ -395,7 +356,10 @@ class Elaborator {
     const ModuleDef* top = nullptr;
     for (const ModuleDef& m : modules_) {
       if (instantiated.count(m.name)) continue;
-      if (top) throw VerilogParseError("multiple top modules: " + top->name + ", " + m.name, 0);
+      if (top) {
+        throw VerilogParseError(
+            "multiple top modules: " + std::string(top->name) + ", " + std::string(m.name), 0);
+      }
       top = &m;
     }
     if (!top) throw VerilogParseError("no top module found", 0);
@@ -403,21 +367,22 @@ class Elaborator {
   }
 
   // Bit-blasted local net name.
-  static std::string bit_name(const std::string& base, int bit) {
-    return bit < 0 ? base : base + "[" + std::to_string(bit) + "]";
+  static std::string bit_name(std::string_view base, int bit) {
+    return bit < 0 ? std::string(base) : std::string(base) + "[" + std::to_string(bit) + "]";
   }
 
   // Elaborates `mod` into hierarchy node `hier`. `bindings` maps this
   // module's port bit names to already-created parent nets.
   void elaborate_module(Design& design, const ModuleDef& mod, HierId hier,
                         std::unordered_map<std::string, NetId>& bindings) {
+    active_.push_back(&mod);
     std::unordered_map<std::string, NetId> local = bindings;
     // Declare local nets for all wires (and unbound ports).
     for (const WireDecl& w : mod.wires) {
       const int lo = w.msb < 0 ? -1 : std::min(w.msb, w.lsb);
       const int hi = w.msb < 0 ? -1 : std::max(w.msb, w.lsb);
-      for (int b = lo; b <= hi; ++b) {
-        const std::string name = bit_name(w.name, b);
+      for (long b = lo; b <= hi; ++b) {  // long: hi may be INT_MAX
+        const std::string name = bit_name(w.name, static_cast<int>(b));
         if (!local.count(name)) {
           local[name] = design.add_net(design.hier_path(hier) + "/" + name);
         }
@@ -443,10 +408,15 @@ class Elaborator {
       } else {
         const auto it = by_name_.find(inst.def_name);
         if (it == by_name_.end()) {
-          throw VerilogParseError("unknown module '" + inst.def_name + "'", inst.line);
+          throw VerilogParseError("unknown module '" + std::string(inst.def_name) + "'",
+                                  inst.line);
         }
         const ModuleDef& child = *it->second;
-        const HierId child_hier = design.add_hier(hier, inst.inst_name);
+        if (std::find(active_.begin(), active_.end(), &child) != active_.end()) {
+          throw VerilogParseError(
+              "recursive instantiation of module '" + std::string(child.name) + "'", inst.line);
+        }
+        const HierId child_hier = design.add_hier(hier, std::string(inst.inst_name));
         // Bind child's port names to parent nets.
         std::unordered_map<std::string, NetId> child_bind;
         for (const Connection& conn : inst.conns) {
@@ -461,13 +431,15 @@ class Elaborator {
           }
           if (decl && decl->msb >= 0) {
             throw VerilogParseError(
-                "vector port binding unsupported for port '" + conn.pin + "'", inst.line);
+                "vector port binding unsupported for port '" + std::string(conn.pin) + "'",
+                inst.line);
           }
-          child_bind[conn.pin] = resolve(*conn.net, inst.line);
+          child_bind[std::string(conn.pin)] = resolve(*conn.net, inst.line);
         }
         elaborate_module(design, child, child_hier, child_bind);
       }
     }
+    active_.pop_back();
   }
 
   template <typename Resolve>
@@ -487,9 +459,10 @@ class Elaborator {
     } else if (inst.def_name == "HIDAP_PIN_OUT") {
       kind = CellKind::PortOut;
     } else {
-      throw VerilogParseError("unknown primitive '" + inst.def_name + "'", inst.line);
+      throw VerilogParseError("unknown primitive '" + std::string(inst.def_name) + "'",
+                              inst.line);
     }
-    const CellId cell = design.add_cell(hier, inst.inst_name, kind, area);
+    const CellId cell = design.add_cell(hier, std::string(inst.inst_name), kind, area);
     if (is_port(kind)) {
       Point pos;
       if (const auto it = inst.params.find("X"); it != inst.params.end()) pos.x = it->second;
@@ -510,14 +483,15 @@ class Elaborator {
   template <typename Resolve>
   void elaborate_macro(Design& design, const Instance& inst, HierId hier, MacroDefId mid,
                        Resolve&& resolve) {
-    const CellId cell = design.add_cell(hier, inst.inst_name, CellKind::Macro, 0.0, mid);
+    const CellId cell =
+        design.add_cell(hier, std::string(inst.inst_name), CellKind::Macro, 0.0, mid);
     const MacroDef& def = design.library().def(mid);
     for (const Connection& conn : inst.conns) {
       if (!conn.net) continue;
       const int pin = def.pin_index(conn.pin);
       if (pin < 0) {
         throw VerilogParseError(
-            "macro '" + def.name + "' has no pin '" + conn.pin + "'", inst.line);
+            "macro '" + def.name + "' has no pin '" + std::string(conn.pin) + "'", inst.line);
       }
       const MacroPin& mp = def.pins[static_cast<std::size_t>(pin)];
       const NetId net = resolve(*conn.net, inst.line);
@@ -532,32 +506,26 @@ class Elaborator {
   }
 
   const std::vector<ModuleDef>& modules_;
-  std::unordered_map<std::string, const ModuleDef*> by_name_;
-  std::vector<MacroDef> macro_defs_;
+  std::unordered_map<std::string_view, const ModuleDef*> by_name_;
+  const std::vector<MacroDef>& macro_defs_;
   Die die_;
+  std::vector<const ModuleDef*> active_;  ///< modules being elaborated, outermost first
 };
 
 }  // namespace
 
-Design parse_verilog(std::istream& in) {
+Design parse_verilog_string(const std::string& text) {
   HIDAP_FAILPOINT("netlist.verilog_parse");
-  Parser parser(in);
+  Parser parser(text);
   const std::vector<ModuleDef> modules = parser.parse_all();
   if (modules.empty()) throw VerilogParseError("empty netlist", 0);
-  Elaborator elab(modules, parser.directives());
+  Elaborator elab(modules, parser.macro_defs(), parser.die());
   return elab.elaborate();
 }
 
 Design parse_verilog_file(const std::string& path) {
   HIDAP_FAILPOINT("netlist.verilog_read");
-  std::ifstream in(path);
-  if (!in) throw HidapError(ErrorCode::IoError, "cannot open for read: " + path);
-  return parse_verilog(in);
-}
-
-Design parse_verilog_string(const std::string& text) {
-  std::istringstream in(text);
-  return parse_verilog(in);
+  return parse_verilog_string(read_file(path));
 }
 
 }  // namespace hidap

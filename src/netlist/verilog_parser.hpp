@@ -11,8 +11,6 @@
 // recursively into a flattened Design with a hierarchy tree mirroring the
 // instance tree.
 
-#include <iosfwd>
-#include <stdexcept>
 #include <string>
 
 #include "netlist/netlist.hpp"
@@ -34,13 +32,13 @@ class VerilogParseError : public HidapError {
   int line_;
 };
 
-/// Parses the given stream; throws VerilogParseError on malformed input.
-Design parse_verilog(std::istream& in);
-
-/// Parses a file; throws std::runtime_error when the file cannot be read.
-Design parse_verilog_file(const std::string& path);
-
-/// Parses from a string (handy for tests).
+/// Parses netlist text; throws VerilogParseError (with the 1-based
+/// line) on malformed input, including any number that is not one whole
+/// token of the expected type: "12-3", a "1.5" or "3000000000" bit index.
 Design parse_verilog_string(const std::string& text);
+
+/// Reads the whole file, then parses it like parse_verilog_string;
+/// throws HidapError (ErrorCode::IoError) when the file cannot be read.
+Design parse_verilog_file(const std::string& path);
 
 }  // namespace hidap

@@ -1,40 +1,16 @@
 #include "service/json.hpp"
 
-#include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
+
+#include "util/text_cursor.hpp"
 
 namespace hidap {
 
 namespace {
 
-struct Cursor {
-  std::string_view text;
-  std::size_t pos = 0;
-
-  bool done() const { return pos >= text.size(); }
-  char peek() const { return done() ? '\0' : text[pos]; }
-  char take() { return done() ? '\0' : text[pos++]; }
-  void skip_ws() {
-    while (!done() && std::isspace(static_cast<unsigned char>(text[pos]))) ++pos;
-  }
-  bool consume(char c) {
-    skip_ws();
-    if (peek() != c) return false;
-    ++pos;
-    return true;
-  }
-  bool consume_word(std::string_view word) {
-    skip_ws();
-    if (text.substr(pos, word.size()) != word) return false;
-    pos += word.size();
-    return true;
-  }
-};
-
-bool parse_string(Cursor& c, std::string& out, std::string& error) {
+bool parse_string(TextCursor& c, std::string& out, std::string& error) {
   if (!c.consume('"')) {
     error = "expected '\"'";
     return false;
@@ -63,11 +39,10 @@ bool parse_string(Cursor& c, std::string& out, std::string& error) {
       case 't': out.push_back('\t'); break;
       case 'u': {
         // Only the escaped-ASCII subset we emit ourselves: \u00XX.
-        char hex[5] = {};
-        for (int i = 0; i < 4; ++i) hex[i] = c.take();
-        char* end = nullptr;
-        const long code = std::strtol(hex, &end, 16);
-        if (end != hex + 4 || code < 0 || code > 0x7f) {
+        int code = -1;
+        parse_number(c.rest().substr(0, 4), code, 16);
+        for (int i = 0; i < 4; ++i) c.take();
+        if (code < 0 || code > 0x7f) {
           error = "unsupported \\u escape (only \\u0000..\\u007f)";
           return false;
         }
@@ -81,7 +56,7 @@ bool parse_string(Cursor& c, std::string& out, std::string& error) {
   }
 }
 
-bool parse_value(Cursor& c, JsonValue& out, std::string& error) {
+bool parse_value(TextCursor& c, JsonValue& out, std::string& error) {
   c.skip_ws();
   const char ch = c.peek();
   if (ch == '"') {
@@ -106,59 +81,34 @@ bool parse_value(Cursor& c, JsonValue& out, std::string& error) {
     out.kind = JsonValue::Kind::Null;
     return true;
   }
-  // Number. strtod was wrong here twice over: it is locale-sensitive
-  // (a comma-decimal locale silently truncates "1.5" to 1) and it
-  // accepts hex floats plus inf/nan spellings, none of which are JSON.
-  const char* begin = c.text.data() + c.pos;
-  const char* text_end = c.text.data() + c.text.size();
-  double value = 0.0;
-#if defined(__cpp_lib_to_chars)
-  const std::from_chars_result res = std::from_chars(begin, text_end, value);
-  if (res.ec == std::errc::result_out_of_range) {
-    error = "number out of range";
-    return false;
-  }
-  if (res.ec != std::errc{} || res.ptr == begin) {
-    error = "expected a value";
-    return false;
-  }
-  const char* end = res.ptr;
-#else
-  char* end = nullptr;
-  value = std::strtod(begin, &end);
-  if (end == begin) {
-    error = "expected a value";
-    return false;
-  }
-#endif
-  // from_chars still parses "inf"/"nan" spellings; they are not JSON.
-  if (!std::isfinite(value)) {
-    error = "non-finite numbers are not valid JSON";
-    return false;
-  }
-  out.kind = JsonValue::Kind::Number;
-  out.num = value;
-  c.pos += static_cast<std::size_t>(end - begin);
-  return true;
-}
-
-}  // namespace
-
-bool parse_json_object(std::string_view text, JsonObject& out, std::string& error) {
-  out.clear();
-  Cursor c{text};
-  if (!c.consume('{')) {
-    error = "expected '{'";
-    return false;
-  }
-  if (c.consume('}')) {
-    c.skip_ws();
-    if (!c.done()) {
-      error = "trailing characters";
+  // Numbers are scanned as one token and parsed whole by the shared
+  // locale-free parse_number, which rejects inf/nan spellings too.
+  if (ch == '-' || ascii::is_digit(ch)) {
+    const std::string_view token = c.take_while(ascii::is_number_char);
+    const std::errc ec = parse_number(token, out.num);
+    if (ec == std::errc::result_out_of_range) {
+      error = "number out of range";
       return false;
     }
+    if (ec != std::errc{}) {
+      error = "bad number '" + std::string(token) + "'";
+      return false;
+    }
+    out.kind = JsonValue::Kind::Number;
     return true;
   }
+  error = "expected a value";
+  return false;
+}
+
+// The members of one object, the cursor just past its '{'. Keys land in
+// `out` behind `prefix`. While `prefix` is empty, one nested object of
+// flat values is flattened into dotted keys ({"args":{"chain":2}} =>
+// "args.chain" = 2); deeper nesting falls through to parse_value's
+// rejection.
+bool parse_members(TextCursor& c, const std::string& prefix, JsonObject& out,
+                   std::string& error) {
+  if (c.consume('}')) return true;
   while (true) {
     std::string key;
     if (!parse_string(c, key, error)) return false;
@@ -166,39 +116,31 @@ bool parse_json_object(std::string_view text, JsonObject& out, std::string& erro
       error = "expected ':'";
       return false;
     }
-    c.skip_ws();
-    if (c.peek() == '{') {
-      // One nested object of flat values, flattened into dotted keys:
-      // {"args":{"chain":2}} => "args.chain" = 2. Deeper nesting falls
-      // through to parse_value's rejection.
-      c.take();
-      if (!c.consume('}')) {
-        while (true) {
-          std::string inner;
-          if (!parse_string(c, inner, error)) return false;
-          if (!c.consume(':')) {
-            error = "expected ':'";
-            return false;
-          }
-          JsonValue value;
-          if (!parse_value(c, value, error)) return false;
-          out[key + "." + inner] = std::move(value);
-          if (c.consume(',')) continue;
-          if (c.consume('}')) break;
-          error = "expected ',' or '}'";
-          return false;
-        }
-      }
+    key.insert(0, prefix);
+    if (prefix.empty() && c.consume('{')) {
+      if (!parse_members(c, key + ".", out, error)) return false;
     } else {
       JsonValue value;
       if (!parse_value(c, value, error)) return false;
       out[key] = std::move(value);
     }
     if (c.consume(',')) continue;
-    if (c.consume('}')) break;
+    if (c.consume('}')) return true;
     error = "expected ',' or '}'";
     return false;
   }
+}
+
+}  // namespace
+
+bool parse_json_object(std::string_view text, JsonObject& out, std::string& error) {
+  out.clear();
+  TextCursor c(text);
+  if (!c.consume('{')) {
+    error = "expected '{'";
+    return false;
+  }
+  if (!parse_members(c, "", out, error)) return false;
   c.skip_ws();
   if (!c.done()) {
     error = "trailing characters";

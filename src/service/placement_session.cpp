@@ -1,7 +1,5 @@
 #include "service/placement_session.hpp"
 
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -13,21 +11,12 @@
 #include "util/failpoint.hpp"
 #include "util/log.hpp"
 #include "util/retry.hpp"
+#include "util/text_cursor.hpp"
 #include "util/timer.hpp"
 
 namespace hidap {
 
 namespace {
-
-std::string slurp_file(const std::string& path) {
-  HIDAP_FAILPOINT("session.read_input");
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw HidapError(ErrorCode::IoError, "cannot read " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  if (in.bad()) throw HidapError(ErrorCode::IoError, "read failed: " + path);
-  return buf.str();
-}
 
 // File-backed requests retry transient IoErrors with exponential
 // backoff (attempts / first backoff from HIDAP_IO_RETRIES and
@@ -71,11 +60,14 @@ JobOutcome PlacementSession::run(const PlacementJobSpec& spec) {
     // --- Design: content-hashed text, single-flight parse. File reads
     // retry transient I/O failures with bounded backoff. ---
     const RetryPolicy retry = io_retry_policy();
-    const std::string text = !spec.verilog_text.empty()
-                                 ? spec.verilog_text
-                                 : with_retries(retry, [&spec]() {
-                                     return slurp_file(spec.verilog_path);
-                                   });
+    std::string file_text;  // owns the bytes of file-backed jobs only
+    if (spec.verilog_text.empty()) {
+      file_text = with_retries(retry, [&spec]() {
+        HIDAP_FAILPOINT("session.read_input");
+        return read_file(spec.verilog_path);
+      });
+    }
+    const std::string& text = spec.verilog_text.empty() ? file_text : spec.verilog_text;
     if (spec.max_input_bytes > 0 && text.size() > spec.max_input_bytes) {
       throw HidapError(ErrorCode::ResourceExhausted,
                        "netlist input of " + std::to_string(text.size()) +

@@ -1,34 +1,21 @@
 #include "util/env.hpp"
 
-#include <cctype>
-#include <cerrno>
-#include <cmath>
 #include <cstdlib>
 
 #include "util/log.hpp"
+#include "util/string_utils.hpp"
+#include "util/text_cursor.hpp"
 
 namespace hidap {
 
-namespace {
-
-// Trailing whitespace after the number is tolerated (quoting artifacts
-// in CI configs); any other trailing character rejects the value.
-bool tail_is_blank(const char* p) {
-  for (; *p != '\0'; ++p) {
-    if (!std::isspace(static_cast<unsigned char>(*p))) return false;
-  }
-  return true;
-}
-
-}  // namespace
+// Whitespace around the number is tolerated (quoting artifacts in CI
+// configs); any other stray character rejects the value.
 
 long env_long(const char* name, long fallback, long min_value, long max_value) {
   const char* raw = std::getenv(name);
   if (raw == nullptr || *raw == '\0') return fallback;
-  errno = 0;
-  char* end = nullptr;
-  const long value = std::strtol(raw, &end, 10);
-  if (end == raw || !tail_is_blank(end) || errno == ERANGE) {
+  long value = 0;
+  if (parse_number(trim(raw), value) != std::errc{}) {
     HIDAP_LOG_WARN("%s=\"%s\" is not a valid integer; using %ld", name, raw, fallback);
     return fallback;
   }
@@ -45,10 +32,8 @@ double env_double(const char* name, double fallback, double min_value,
                   double max_value) {
   const char* raw = std::getenv(name);
   if (raw == nullptr || *raw == '\0') return fallback;
-  errno = 0;
-  char* end = nullptr;
-  const double value = std::strtod(raw, &end);
-  if (end == raw || !tail_is_blank(end) || errno == ERANGE || !std::isfinite(value)) {
+  double value = 0;
+  if (parse_number(trim(raw), value) != std::errc{}) {
     HIDAP_LOG_WARN("%s=\"%s\" is not a valid number; using %g", name, raw, fallback);
     return fallback;
   }

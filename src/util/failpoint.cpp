@@ -7,6 +7,7 @@
 #include "obs/metrics.hpp"
 #include "util/log.hpp"
 #include "util/string_utils.hpp"
+#include "util/text_cursor.hpp"
 
 namespace hidap {
 
@@ -138,9 +139,8 @@ bool FailPoint::arm(const std::string& spec, std::string* error) {
   } else if (mode_part.rfind("delay(", 0) == 0 && mode_part.back() == ')') {
     mode = Mode::Delay;
     const std::string ms = mode_part.substr(6, mode_part.size() - 7);
-    char* end = nullptr;
-    const long v = std::strtol(ms.c_str(), &end, 10);
-    if (end == ms.c_str() || *end != '\0' || v < 0 || v > 600000) {
+    long v = -1;
+    if (parse_number(ms, v) != std::errc{} || v < 0 || v > 600000) {
       return fail("bad delay milliseconds '" + ms + "'");
     }
     delay_ms = static_cast<int>(v);
@@ -158,31 +158,23 @@ bool FailPoint::arm(const std::string& spec, std::string* error) {
     } else if (trigger_part.rfind("every(", 0) == 0 && trigger_part.back() == ')') {
       trigger = Trigger::EveryNth;
       const std::string n = trigger_part.substr(6, trigger_part.size() - 7);
-      char* end = nullptr;
-      const long v = std::strtol(n.c_str(), &end, 10);
-      if (end == n.c_str() || *end != '\0' || v < 1) {
+      if (parse_number(n, every_n) != std::errc{} || every_n < 1) {
         return fail("bad every(N) '" + n + "'");
       }
-      every_n = static_cast<std::uint64_t>(v);
     } else if (trigger_part.rfind("p(", 0) == 0 && trigger_part.back() == ')') {
       trigger = Trigger::Probability;
       const std::string body = trigger_part.substr(2, trigger_part.size() - 3);
       const std::size_t comma = body.find(',');
       const std::string p_str = body.substr(0, comma);
-      char* end = nullptr;
-      probability = std::strtod(p_str.c_str(), &end);
-      if (end == p_str.c_str() || *end != '\0' || !(probability >= 0.0) ||
+      if (parse_number(p_str, probability) != std::errc{} || probability < 0.0 ||
           probability > 1.0) {
         return fail("bad probability '" + p_str + "'");
       }
       if (comma != std::string::npos) {
         const std::string seed_str = body.substr(comma + 1);
-        end = nullptr;
-        const unsigned long long s = std::strtoull(seed_str.c_str(), &end, 10);
-        if (end == seed_str.c_str() || *end != '\0') {
+        if (parse_number(seed_str, prob_seed) != std::errc{}) {
           return fail("bad probability seed '" + seed_str + "'");
         }
-        prob_seed = static_cast<std::uint64_t>(s);
       }
     } else {
       return fail("unknown trigger '" + trigger_part + "'");

@@ -2,15 +2,19 @@
 
 #include <cctype>
 
+#include "util/text_cursor.hpp"
+
 namespace hidap {
 
 namespace {
-bool all_digits(std::string_view s) {
-  if (s.empty()) return false;
-  for (char c : s) {
-    if (!std::isdigit(static_cast<unsigned char>(c))) return false;
+// A bit index: plain decimal digits that fit an int.
+std::optional<int> bit_index(std::string_view digits) {
+  int value = 0;
+  if (digits.empty() || !ascii::is_digit(digits.front()) ||
+      parse_number(digits, value) != std::errc{}) {
+    return std::nullopt;
   }
-  return true;
+  return value;
 }
 }  // namespace
 
@@ -19,20 +23,16 @@ std::optional<ArrayName> parse_array_name(std::string_view name) {
   if (!name.empty() && name.back() == ']') {
     const auto open = name.rfind('[');
     if (open != std::string_view::npos && open > 0) {
-      const std::string_view digits = name.substr(open + 1, name.size() - open - 2);
-      if (all_digits(digits)) {
-        return ArrayName{std::string(name.substr(0, open)),
-                         std::stoi(std::string(digits))};
+      if (const auto index = bit_index(name.substr(open + 1, name.size() - open - 2))) {
+        return ArrayName{std::string(name.substr(0, open)), *index};
       }
     }
   }
   // Form "base_n".
   const auto us = name.rfind('_');
   if (us != std::string_view::npos && us > 0 && us + 1 < name.size()) {
-    const std::string_view digits = name.substr(us + 1);
-    if (all_digits(digits)) {
-      return ArrayName{std::string(name.substr(0, us)),
-                       std::stoi(std::string(digits))};
+    if (const auto index = bit_index(name.substr(us + 1))) {
+      return ArrayName{std::string(name.substr(0, us)), *index};
     }
   }
   return std::nullopt;
@@ -60,10 +60,6 @@ std::string_view trim(std::string_view text) {
     text.remove_suffix(1);
   }
   return text;
-}
-
-bool starts_with(std::string_view text, std::string_view prefix) {
-  return text.size() >= prefix.size() && text.substr(0, prefix.size()) == prefix;
 }
 
 std::string join_path(std::string_view parent, std::string_view child) {

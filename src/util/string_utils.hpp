@@ -20,7 +20,7 @@ struct ArrayName {
 };
 
 /// Recognizes "name[n]" and "name_n" suffixes; returns nullopt when the
-/// name carries no bit index.
+/// name carries no bit index or the index does not fit an int.
 std::optional<ArrayName> parse_array_name(std::string_view name);
 
 /// Splits on a delimiter; empty tokens are kept.
@@ -28,9 +28,6 @@ std::vector<std::string> split(std::string_view text, char delim);
 
 /// Trims ASCII whitespace on both ends.
 std::string_view trim(std::string_view text);
-
-/// True when `text` starts with `prefix`.
-bool starts_with(std::string_view text, std::string_view prefix);
 
 /// Joins path components of a hierarchical instance name with '/'.
 std::string join_path(std::string_view parent, std::string_view child);

@@ -31,6 +31,7 @@ string(APPEND requests "{\"op\":\"place\",\"id\":\"cold\",\"verilog\":\"serve.v\
 string(APPEND requests "{\"op\":\"drain\"}\n")
 string(APPEND requests "{\"op\":\"place\",\"id\":\"warm\",\"verilog\":\"serve.v\",\"out\":\"warm.def\",\"seed\":7,\"effort\":0.05}\n")
 string(APPEND requests "{\"op\":\"place\",\"id\":\"rushed\",\"verilog\":\"serve.v\",\"out\":\"rushed.def\",\"seed\":8,\"effort\":0.05,\"timeout_s\":0.0001}\n")
+string(APPEND requests "{\"op\":\"place\",\"id\":\"hostile\",\"verilog\":\"serve.v\",\"out\":\"hostile.def\",\"seed\":-1e300}\n")
 string(APPEND requests "{\"op\":\"drain\"}\n")
 string(APPEND requests "{\"op\":\"stats\"}\n")
 string(APPEND requests "{\"op\":\"metrics\"}\n")
@@ -57,6 +58,7 @@ endfunction()
 require_event("\"event\":\"accepted\",\"id\":\"cold\"" "cold acceptance")
 require_event("\"event\":\"done\",\"id\":\"cold\",\"status\":\"completed\"" "cold completion")
 require_event("\"event\":\"done\",\"id\":\"warm\",\"status\":\"completed\"" "warm completion")
+require_event("\"event\":\"error\",\"id\":\"hostile\",\"code\":\"invalid_request\"" "out-of-range seed -> invalid_request")
 require_event("\"id\":\"warm\"[^\n]*\"design_cached\":true" "warm design cache hit")
 require_event("\"id\":\"warm\"[^\n]*\"curves_cached\":true" "warm curve cache hit")
 require_event("\"id\":\"warm\"[^\n]*\"plan_cached\":true" "warm plan cache hit")

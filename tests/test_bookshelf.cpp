@@ -8,6 +8,7 @@
 #include "core/hidap.hpp"
 #include "gen/suite.hpp"
 #include "netlist/bookshelf.hpp"
+#include "util/error.hpp"
 #include "util/log.hpp"
 
 namespace hidap {
@@ -105,6 +106,22 @@ TEST(Bookshelf, MalformedNodesThrows) {
   std::ofstream(base + ".nets") << "UCLA nets 1.0\n";
   std::ofstream(base + ".pl") << "UCLA pl 1.0\n";
   EXPECT_THROW(read_bookshelf(base), std::runtime_error);
+  // A malformed row ends in a typed ParseError, never in a defaulted
+  // field, a skipped row or an untyped exception.
+  const auto expect_parse_error = [&](const char* nodes, const char* pl) {
+    std::ofstream(base + ".nodes") << "UCLA nodes 1.0\n" << nodes;
+    std::ofstream(base + ".pl") << "UCLA pl 1.0\n" << pl;
+    try {
+      read_bookshelf(base);
+      ADD_FAILURE() << "read: " << nodes << " / " << pl;
+    } catch (const HidapError& e) {
+      EXPECT_EQ(e.code(), ErrorCode::ParseError) << e.what();
+    }
+  };
+  expect_parse_error("a 1 2x\n", "");         // trailing junk in a height
+  expect_parse_error("m 1 1\nm 1 1\n", "");   // duplicate node
+  expect_parse_error("a 1 1\n", "a 1.0\n");  // .pl row without y
+  expect_parse_error("a 1 1\n", "a x 2\n");  // .pl row with a bad x
   cleanup(base);
 }
 

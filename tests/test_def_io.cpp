@@ -113,6 +113,12 @@ TEST(DefIo, MalformedInputThrows) {
   std::istringstream bad_orient(
       "COMPONENTS 1 ;\n- a B + PLACED ( 0 0 ) SIDEWAYS ;\nEND COMPONENTS\n");
   EXPECT_THROW(parse_def(bad_orient), std::runtime_error);
+  // Coordinates are whole, finite, decimal tokens.
+  for (const char* coord : {"nan", "inf", "0x10", "12abc"}) {
+    EXPECT_THROW(parse_def_text(std::string("DIEAREA ( 0 0 ) ( ") + coord + " 5 ) ;\n"),
+                 DefParseError)
+        << coord;
+  }
 }
 
 TEST(DefIo, FileRoundTrip) {

@@ -1,66 +1,177 @@
-// Parser robustness: mutated and truncated netlists must either parse or
-// throw VerilogParseError -- never crash, hang, or corrupt memory.
+// Parser robustness: truncated and mutated inputs in every text format
+// the system reads -- Verilog netlists, DEF placements, Bookshelf
+// files and hidap_serve request lines -- must either parse into
+// something valid or fail with that reader's typed error. Any other
+// exception, a crash, a hang or a sanitizer report fails the test.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 
+#include "core/hidap.hpp"
 #include "gen/circuit_gen.hpp"
+#include "netlist/bookshelf.hpp"
+#include "netlist/def_io.hpp"
 #include "netlist/verilog_parser.hpp"
 #include "netlist/verilog_writer.hpp"
+#include "service/json.hpp"
+#include "util/log.hpp"
 #include "util/rng.hpp"
+#include "util/text_cursor.hpp"
 
 namespace hidap {
 namespace {
 
-std::string sample_netlist() {
-  CircuitSpec spec;
-  spec.name = "fuzz";
-  spec.target_cells = 300;
-  spec.macro_count = 2;
-  spec.subsystems = 1;
-  spec.bus_width = 8;
-  const Design d = generate_circuit(spec);
+constexpr double kTruncations[] = {0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99};
+
+// One small generated design, its netlist and a placement of it.
+struct Sample {
+  Design design;
+  std::string verilog;
+  PlacementResult placement;
+  Sample() : design(make()) {
+    std::ostringstream out;
+    write_verilog(design, out);
+    verilog = out.str();
+    set_log_level(LogLevel::Warn);
+    HiDaPOptions o;
+    o.layout_anneal.moves_per_temperature = 20;
+    o.shape_fp.anneal.moves_per_temperature = 20;
+    placement = place_macros(design, o);
+  }
+  static Design make() {
+    CircuitSpec spec;
+    spec.name = "fuzz";
+    spec.target_cells = 300;
+    spec.macro_count = 2;
+    spec.subsystems = 1;
+    spec.bus_width = 8;
+    return generate_circuit(spec);
+  }
+};
+
+const Sample& sample() {
+  static const Sample* s = new Sample();
+  return *s;
+}
+
+std::string sample_netlist() { return sample().verilog; }
+
+std::string sample_def() {
   std::ostringstream out;
-  write_verilog(d, out);
+  write_def(sample().design, sample().placement, out);
   return out.str();
+}
+
+std::string truncated(const std::string& text, double frac) {
+  return text.substr(0, static_cast<std::size_t>(text.size() * frac));
+}
+
+// Overwrites `count` seeded positions with random printable bytes.
+std::string mutated(std::string text, std::uint64_t seed, int count = 12) {
+  Rng rng(seed * 2654435761ULL + 17);
+  for (int m = 0; m < count && !text.empty(); ++m) {
+    const std::size_t at = rng.next_below(text.size());
+    text[at] = static_cast<char>(' ' + rng.next_below(94));
+  }
+  return text;
 }
 
 void expect_parse_or_clean_error(const std::string& text) {
   try {
     const Design d = parse_verilog_string(text);
-    EXPECT_TRUE(d.validate().empty());
+    EXPECT_TRUE(d.validate().empty()) << d.validate();
   } catch (const VerilogParseError&) {
     // acceptable: clean rejection
-  } catch (const std::exception&) {
-    // stoi/stod range errors from garbled numbers are tolerable too, as
-    // long as they are exceptions and not crashes
+  }
+}
+
+void expect_def_or_clean_error(const std::string& text) {
+  try {
+    const DefContents def = parse_def_text(text);
+    PlacementResult bound;
+    apply_def_placement(sample().design, def, bound);
+    EXPECT_LE(bound.macros.size(), def.components.size());
+  } catch (const DefParseError&) {
+    // acceptable: clean rejection
+  }
+}
+
+// Writes the sample as Bookshelf under a pid-keyed base name (so
+// concurrent test processes never share files), replaces the file with
+// extension `ext` by `edit(original)`, and reads the set back.
+template <typename Edit>
+void expect_bookshelf_or_clean_error(const char* ext, const std::string& tag, Edit edit) {
+  const std::string base = "fuzz_bs_" + std::to_string(::getpid()) + "_" + tag;
+  write_bookshelf(sample().design, sample().placement, base);
+  const std::string path = base + ext;
+  const std::string original = read_file(path);
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << edit(original);
+  try {
+    const BookshelfDesign loaded = read_bookshelf(base);
+    EXPECT_TRUE(loaded.design.validate().empty()) << loaded.design.validate();
+  } catch (const HidapError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::ParseError) << e.what();
+  }
+  for (const char* x : {".nodes", ".nets", ".pl", ".aux"}) std::remove((base + x).c_str());
+}
+
+const char* const kServeLines[] = {
+    R"({"op":"place","id":"j1","verilog":"chip.v","out":"j1.def","lambda":0.5,"seed":3,"effort":0.05,"progress":true})",
+    R"({"op":"place","id":"j2","verilog_text":"module top ();\nendmodule\n","timeout_s":1.5e-1,"chains":2})",
+    R"({"op":"cancel","id":"j1"})",
+    R"({"name":"sa.anneal","ph":"X","ts":12,"dur":3,"args":{"chain":2,"cost":-1.25e2}})",
+    R"({"op":"stats","note":"tab\tquote\" A null","flag":null})",
+};
+
+void expect_json_or_clean_error(const std::string& line) {
+  JsonObject obj;
+  std::string error;
+  if (!parse_json_object(line, obj, error)) {
+    EXPECT_FALSE(error.empty()) << line;
   }
 }
 
 TEST(ParserRobustness, TruncationsNeverCrash) {
   const std::string text = sample_netlist();
-  for (const double frac : {0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99}) {
-    expect_parse_or_clean_error(
-        text.substr(0, static_cast<std::size_t>(text.size() * frac)));
+  for (const double frac : kTruncations) expect_parse_or_clean_error(truncated(text, frac));
+}
+
+TEST(ParserRobustness, DefTruncationsNeverCrash) {
+  const std::string text = sample_def();
+  for (const double frac : kTruncations) expect_def_or_clean_error(truncated(text, frac));
+}
+
+TEST(ParserRobustness, BookshelfTruncationsNeverCrash) {
+  for (const char* ext : {".nodes", ".nets", ".pl"}) {
+    for (const double frac : kTruncations) {
+      expect_bookshelf_or_clean_error(ext, "trunc", [frac](const std::string& text) {
+        return truncated(text, frac);
+      });
+    }
+  }
+}
+
+TEST(ParserRobustness, ServeLineTruncationsNeverCrash) {
+  for (const std::string line : kServeLines) {
+    JsonObject obj;
+    std::string error;
+    ASSERT_TRUE(parse_json_object(line, obj, error)) << error << " in " << line;
+    for (std::size_t n = 0; n < line.size(); ++n) expect_json_or_clean_error(line.substr(0, n));
   }
 }
 
 class ParserFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(ParserFuzz, RandomByteMutations) {
-  std::string text = sample_netlist();
-  Rng rng(static_cast<std::uint64_t>(GetParam()) * 2654435761ULL + 17);
-  // Mutate 12 random positions: replace with random printable bytes.
-  for (int m = 0; m < 12; ++m) {
-    const std::size_t at = rng.next_below(text.size());
-    text[at] = static_cast<char>(' ' + rng.next_below(94));
-  }
-  expect_parse_or_clean_error(text);
+  expect_parse_or_clean_error(mutated(sample_netlist(), static_cast<std::uint64_t>(GetParam())));
 }
 
 TEST_P(ParserFuzz, RandomLineDeletions) {
-  std::string text = sample_netlist();
+  const std::string text = sample_netlist();
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 40503ULL + 3);
   std::istringstream in(text);
   std::ostringstream kept;
@@ -69,6 +180,27 @@ TEST_P(ParserFuzz, RandomLineDeletions) {
     if (rng.next_double() > 0.08) kept << line << '\n';
   }
   expect_parse_or_clean_error(kept.str());
+}
+
+TEST_P(ParserFuzz, DefByteMutations) {
+  expect_def_or_clean_error(mutated(sample_def(), static_cast<std::uint64_t>(GetParam())));
+}
+
+TEST_P(ParserFuzz, BookshelfByteMutations) {
+  const auto seed = static_cast<std::uint64_t>(GetParam());
+  const char* const exts[] = {".nodes", ".nets", ".pl"};
+  const char* const ext = exts[seed % 3];
+  expect_bookshelf_or_clean_error(ext, "mut" + std::to_string(seed),
+                                  [seed](const std::string& text) {
+                                    return mutated(text, seed);
+                                  });
+}
+
+TEST_P(ParserFuzz, ServeLineMutations) {
+  const auto seed = static_cast<std::uint64_t>(GetParam());
+  for (const std::string line : kServeLines) {
+    expect_json_or_clean_error(mutated(line, seed, 3));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParserFuzz, ::testing::Range(1, 17));

@@ -10,7 +10,9 @@
 #include "util/env.hpp"
 #include "util/job_control.hpp"
 #include "util/rng.hpp"
+#include "util/error.hpp"
 #include "util/string_utils.hpp"
+#include "util/text_cursor.hpp"
 #include "util/timer.hpp"
 
 namespace hidap {
@@ -79,6 +81,13 @@ TEST(ArrayName, PlainNameRejected) {
   EXPECT_FALSE(parse_array_name("_5").has_value());  // no base
 }
 
+TEST(ArrayName, OversizedIndexIsNoIndex) {
+  // Names come from untrusted netlists: an index past INT_MAX is no bit
+  // index, not an exception out of array clustering.
+  EXPECT_FALSE(parse_array_name("f_99999999999").has_value());
+  EXPECT_FALSE(parse_array_name("f[99999999999]").has_value());
+}
+
 TEST(ArrayName, BracketTakesPrecedenceOverUnderscore) {
   const auto p = parse_array_name("bus_2[9]");
   ASSERT_TRUE(p.has_value());
@@ -99,11 +108,6 @@ TEST(StringUtils, Trim) {
   EXPECT_EQ(trim("  x y\t"), "x y");
   EXPECT_EQ(trim(""), "");
   EXPECT_EQ(trim(" \t "), "");
-}
-
-TEST(StringUtils, StartsWith) {
-  EXPECT_TRUE(starts_with("HIDAP_DFF", "HIDAP_"));
-  EXPECT_FALSE(starts_with("HI", "HIDAP_"));
 }
 
 TEST(StringUtils, JoinPath) {
@@ -276,6 +280,69 @@ TEST(EnvTest, NonFiniteDoubleFallsBack) {
   EXPECT_EQ(env_double("HIDAP_TEST_KNOB", 0.5, 0.0, 1.0), 0.5);
   ScopedEnv nan_v("HIDAP_TEST_KNOB", "nan");
   EXPECT_EQ(env_double("HIDAP_TEST_KNOB", 0.5, 0.0, 1.0), 0.5);
+}
+
+TEST(TextCursorTest, TokensAndLines) {
+  TextCursor in("  alpha\n\n beta\tgamma \n");
+  EXPECT_EQ(in.token(), "alpha");
+  EXPECT_EQ(in.line(), 1);
+  EXPECT_EQ(in.token(), "beta");
+  EXPECT_EQ(in.line(), 3);
+  EXPECT_EQ(in.token(), "gamma");
+  EXPECT_EQ(in.token(), "");
+  EXPECT_TRUE(in.done());
+  EXPECT_EQ(in.line(), 4);
+  EXPECT_EQ(in.take(), '\0');
+}
+
+TEST(TextCursorTest, ConsumeAndPeek) {
+  TextCursor in(std::string_view("{ true,\0x", 9));
+  EXPECT_TRUE(in.consume('{'));
+  EXPECT_FALSE(in.consume('}'));
+  EXPECT_TRUE(in.consume_word("true"));
+  EXPECT_FALSE(in.consume_word("false"));
+  EXPECT_EQ(in.take_while([](char c) { return c == ','; }), ",");
+  EXPECT_EQ(in.peek(), '\0');  // a NUL byte, not the end
+  EXPECT_FALSE(in.done());
+  EXPECT_EQ(in.peek(1), 'x');
+  EXPECT_EQ(in.peek(2), '\0');  // the end
+  EXPECT_EQ(in.rest().size(), 2u);
+}
+
+TEST(ParseNumberTest, WholeTokensOnly) {
+  double d = -1;
+  EXPECT_EQ(parse_number("1.5e3", d), std::errc{});
+  EXPECT_EQ(d, 1500.0);
+  EXPECT_EQ(parse_number("+0.25", d), std::errc{});
+  EXPECT_EQ(d, 0.25);
+  EXPECT_EQ(parse_number("-.5", d), std::errc{});
+  EXPECT_EQ(d, -0.5);
+  for (const char* bad : {"", "12-3", "1.5x", " 1", "1 ", "+-1", "++1", "nan", "inf",
+                          "-Infinity", "0x10", "e5", "."}) {
+    EXPECT_EQ(parse_number(bad, d), std::errc::invalid_argument) << bad;
+  }
+  EXPECT_EQ(d, -0.5);  // untouched on failure
+  EXPECT_EQ(parse_number("1e400", d), std::errc::result_out_of_range);
+
+  int i = 0;
+  EXPECT_EQ(parse_number("-42", i), std::errc{});
+  EXPECT_EQ(i, -42);
+  EXPECT_EQ(parse_number("+7", i), std::errc{});
+  EXPECT_EQ(i, 7);
+  EXPECT_EQ(parse_number("1.5", i), std::errc::invalid_argument);
+  EXPECT_EQ(parse_number("1e3", i), std::errc::invalid_argument);
+  EXPECT_EQ(parse_number("3000000000", i), std::errc::result_out_of_range);
+  EXPECT_EQ(parse_number("7f", i, 16), std::errc{});
+  EXPECT_EQ(i, 0x7f);
+}
+
+TEST(ReadFileTest, MissingFileIsIoError) {
+  try {
+    read_file("definitely/not/here.v");
+    FAIL() << "read a missing file";
+  } catch (const HidapError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::IoError);
+  }
 }
 
 TEST(JobControlTest, ProgressSinkReceivesFormattedLines) {

@@ -126,6 +126,58 @@ TEST(VerilogParser, NoTopModuleRejected) {
                VerilogParseError);
 }
 
+// Malformed inputs that must end in a VerilogParseError at a known line.
+// Numbers are whole tokens of the expected type: bit indices and ranges
+// are ints, so "1.5", "3000000000" and "1e300" are errors (casting the
+// last two to int would be undefined behaviour), and so is "12-3".
+struct BadNetlist {
+  const char* name;
+  const char* text;
+  int line;
+};
+
+void PrintTo(const BadNetlist& bad, std::ostream* os) { *os << bad.name; }
+
+class VerilogRejects : public ::testing::TestWithParam<BadNetlist> {};
+
+TEST_P(VerilogRejects, WithTypedErrorAtLine) {
+  try {
+    parse_verilog_string(GetParam().text);
+    FAIL() << "parsed: " << GetParam().text;
+  } catch (const VerilogParseError& e) {
+    EXPECT_EQ(e.line(), GetParam().line) << e.what();
+    EXPECT_EQ(e.code(), ErrorCode::ParseError);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Table, VerilogRejects,
+    ::testing::Values(
+        BadNetlist{"NonIntegralIndex",
+                   "module top ();\n  wire [3:0] b;\n  HIDAP_DFF f (.Q0(b[1.5]));\nendmodule\n", 3},
+        BadNetlist{"IndexOutOfIntRange",
+                   "module top ();\n  wire [3:0] b;\n  HIDAP_DFF f (.Q0(b[3000000000]));\nendmodule\n",
+                   3},
+        BadNetlist{"RangeOutOfIntRange", "module top ();\n  wire [1e300:0] b;\nendmodule\n", 2},
+        BadNetlist{"RangeTrailingJunk", "module top ();\n\n  wire [12-3:0] b;\nendmodule\n", 3},
+        BadNetlist{"ParamTrailingJunk",
+                   "module top ();\n  HIDAP_COMB #(.AREA(12-3)) g ();\nendmodule\n", 2},
+        BadNetlist{"ParamOutOfRange",
+                   "module top ();\n  HIDAP_COMB #(.AREA(1e400)) g ();\nendmodule\n", 2},
+        BadNetlist{"DirectiveBadNumber",
+                   "//HIDAP_DIE 500 4x0\nmodule top ();\nendmodule\n", 1},
+        BadNetlist{"DirectiveTruncated", "\n//HIDAP_MACRO RAM 20\nmodule top ();\nendmodule\n", 2},
+        BadNetlist{"DuplicateMacro",
+                   "//HIDAP_MACRO RAM 20 10\n//HIDAP_MACRO RAM 20 10\nmodule top ();\nendmodule\n",
+                   2},
+        BadNetlist{"PinOfUndeclaredMacro",
+                   "//HIDAP_PIN RAM D0 0 5 8 0\nmodule top ();\nendmodule\n", 1},
+        BadNetlist{"RecursiveInstantiation",
+                   "module top (); a u (); endmodule\nmodule a ();\n b u ();\nendmodule\n"
+                   "module b ();\n a u ();\nendmodule\n",
+                   6}),
+    [](const ::testing::TestParamInfo<BadNetlist>& info) { return info.param.name; });
+
 TEST(VerilogRoundTrip, GeneratedCircuitSurvives) {
   CircuitSpec spec;
   spec.name = "rt";
