@@ -6,12 +6,9 @@
 
 #include <benchmark/benchmark.h>
 
-#include <array>
 #include <numeric>
-#include <span>
 #include <utility>
 
-#include "baseline/flat_cost.hpp"
 #include "core/dataflow_inference.hpp"
 #include "core/decluster.hpp"
 #include "core/layout_optimizer.hpp"
@@ -278,87 +275,6 @@ void BM_IncrementalEvaluate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_IncrementalEvaluate)->Arg(8)->Arg(16)->Arg(32);
-
-// Split-skipping ablation: the same rejected-move ring with the top-down
-// budget splits always rerun in full (BudgetOptions::skip_splits off).
-// The delta against BM_IncrementalEvaluate is what the skippable-splits
-// scheme saves per move.
-void BM_IncrementalEvaluateNoSplitSkip(benchmark::State& state) {
-  LayoutBenchProblem lp = make_layout_problem(static_cast<int>(state.range(0)));
-  lp.problem.affinity = &lp.affinity;
-  Rng rng(17);
-  PolishExpression base;
-  const std::vector<PolishExpression> ring =
-      make_move_ring(static_cast<int>(lp.problem.blocks.size()), rng, base);
-  BudgetOptions no_skip;
-  no_skip.skip_splits = false;
-  IncrementalLayoutEval eval(lp.problem.blocks, lp.problem.region, lp.problem.terminals,
-                             lp.affinity, base, no_skip);
-  std::size_t k = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        eval.propose([&](PolishExpression& expr) { expr = ring[k]; }));
-    eval.rollback();
-    k = (k + 1) % ring.size();
-  }
-}
-BENCHMARK(BM_IncrementalEvaluateNoSplitSkip)->Arg(8)->Arg(16)->Arg(32);
-
-// Flat-SA objective, full recompute per move (position map + all-pairs
-// overlap) vs the per-net / per-pair delta cache.
-const SeqGraph& flat_seq() {
-  static SeqGraph* seq = [] {
-    const CellAdjacency adj(medium_design());
-    return new SeqGraph(extract_seq_graph(medium_design(), adj));
-  }();
-  return *seq;
-}
-
-std::vector<MacroPlacement> flat_initial_state(Rng& rng) {
-  const Design& d = medium_design();
-  const Rect die{0, 0, d.die().w, d.die().h};
-  std::vector<MacroPlacement> macros;
-  for (const CellId cell : d.macros()) {
-    const MacroDef& def = d.macro_def_of(cell);
-    macros.push_back({cell,
-                      Rect{rng.next_double(die.x, die.xmax() * 0.7),
-                           rng.next_double(die.y, die.ymax() * 0.7), def.w, def.h},
-                      Orientation::R0});
-  }
-  return macros;
-}
-
-void BM_FlatFullCost(benchmark::State& state) {
-  const Design& d = medium_design();
-  const Rect die{0, 0, d.die().w, d.die().h};
-  const FlatCostModel model(d, flat_seq(), die, 4.0);
-  Rng rng(29);
-  std::vector<MacroPlacement> macros = flat_initial_state(rng);
-  for (auto _ : state) {
-    const std::size_t i = rng.next_below(macros.size());
-    macros[i].rect.x += rng.next_double(-0.05, 0.05) * die.w;
-    benchmark::DoNotOptimize(model(macros));
-  }
-}
-BENCHMARK(BM_FlatFullCost);
-
-void BM_FlatDeltaCost(benchmark::State& state) {
-  const Design& d = medium_design();
-  const Rect die{0, 0, d.die().w, d.die().h};
-  const FlatCostModel model(d, flat_seq(), die, 4.0);
-  Rng rng(29);
-  std::vector<MacroPlacement> macros = flat_initial_state(rng);
-  IncrementalFlatCost inc(model, macros);
-  for (auto _ : state) {
-    const std::size_t i = rng.next_below(macros.size());
-    macros[i].rect.x += rng.next_double(-0.05, 0.05) * die.w;
-    const std::array<std::size_t, 1> moved{i};
-    benchmark::DoNotOptimize(
-        inc.propose(macros, std::span<const std::size_t>(moved.data(), 1)));
-    inc.commit();
-  }
-}
-BENCHMARK(BM_FlatDeltaCost);
 
 // --- parallel runtime ------------------------------------------------
 

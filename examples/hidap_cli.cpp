@@ -14,9 +14,9 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
+#include <system_error>
 #include <thread>
 
 #include "core/hidap.hpp"
@@ -31,6 +31,7 @@
 #include "runtime/thread_pool.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
+#include "util/text_cursor.hpp"
 #include "viz/svg.hpp"
 
 using namespace hidap;
@@ -47,8 +48,6 @@ struct Args {
   std::uint64_t seed = 1;
   int cells = 20000, macros = 24;
   int threads = 0, chains = 1;
-  bool incremental = true;
-  bool parallel_levels = true;
   bool phase_summary = false;
 };
 
@@ -73,11 +72,6 @@ struct Args {
                "               (default: HIDAP_THREADS or hardware concurrency;\n"
                "               results are identical at any N, 1 = sequential)\n"
                "  --chains C   independent SA chains per layout, best kept\n"
-               "  --no-incremental  full-recompute SA move evaluation (the\n"
-               "               reference oracle; results are identical, only slower)\n"
-               "  --no-parallel-levels  run the recursion scheduler as a plain\n"
-               "               sequential DFS (same snapshot estimate semantics;\n"
-               "               results are identical, the scheduler's oracle)\n"
                "  --log-level {debug,info,warn,error}  console verbosity\n"
                "               (default warn; progress lines are always on)\n"
                "  observability (any command; placements are byte-identical\n"
@@ -100,25 +94,28 @@ Args parse_args(int argc, char** argv) {
       if (++i >= argc) usage();
       return argv[i];
     };
+    // Numeric flags take the whole token or nothing: a malformed value
+    // is bad usage, never a silent 0.
+    const auto number = [&](auto& out) {
+      if (parse_number(next(), out) != std::errc{}) usage();
+    };
     if (flag == "-i") args.input = next();
     else if (flag == "-o") args.output = next();
     else if (flag == "-p") args.placement = next();
     else if (flag == "--svg") args.svg = next();
     else if (flag == "--csv") args.csv = next();
     else if (flag == "--fix") args.fix = next();
-    else if (flag == "--lambda") args.lambda = std::atof(next().c_str());
-    else if (flag == "--k") args.k = std::atof(next().c_str());
-    else if (flag == "--halo") args.halo = std::atof(next().c_str());
-    else if (flag == "--effort") args.effort = std::atof(next().c_str());
-    else if (flag == "--timeout-s") args.timeout_s = std::atof(next().c_str());
+    else if (flag == "--lambda") number(args.lambda);
+    else if (flag == "--k") number(args.k);
+    else if (flag == "--halo") number(args.halo);
+    else if (flag == "--effort") number(args.effort);
+    else if (flag == "--timeout-s") number(args.timeout_s);
     else if (flag == "--cancel-file") args.cancel_file = next();
-    else if (flag == "--seed") args.seed = std::strtoull(next().c_str(), nullptr, 10);
-    else if (flag == "--cells") args.cells = std::atoi(next().c_str());
-    else if (flag == "--macros") args.macros = std::atoi(next().c_str());
-    else if (flag == "--threads") args.threads = std::atoi(next().c_str());
-    else if (flag == "--chains") args.chains = std::atoi(next().c_str());
-    else if (flag == "--no-incremental") args.incremental = false;
-    else if (flag == "--no-parallel-levels") args.parallel_levels = false;
+    else if (flag == "--seed") number(args.seed);
+    else if (flag == "--cells") number(args.cells);
+    else if (flag == "--macros") number(args.macros);
+    else if (flag == "--threads") number(args.threads);
+    else if (flag == "--chains") number(args.chains);
     else if (flag == "--trace-json") args.trace_json = next();
     else if (flag == "--metrics-json") args.metrics_json = next();
     else if (flag == "--phase-summary") args.phase_summary = true;
@@ -137,9 +134,7 @@ int cmd_place(const Args& args) {
   options.macro_halo = args.halo;
   options.job.seed = args.seed;
   options.num_threads = args.threads;
-  options.parallel_levels = args.parallel_levels;
   options.layout_anneal.chains = std::max(1, args.chains);
-  options.layout_anneal.incremental = args.incremental;
   options.scale_effort(args.effort);
   if (!args.fix.empty()) {
     const DefContents fixed = parse_def_file(args.fix);
@@ -211,9 +206,7 @@ int cmd_flows(const Args& args) {
   FlowOptions options;
   options.seed = args.seed;
   options.hidap.num_threads = args.threads;
-  options.hidap.parallel_levels = args.parallel_levels;
   options.hidap.layout_anneal.chains = std::max(1, args.chains);
-  options.hidap.layout_anneal.incremental = args.incremental;
   const FlowComparison cmp = compare_flows(design, options);
   ReportTable table({"flow", "WL(m)", "norm", "GRC%", "WNS%", "TNS(ns)", "time(s)"});
   for (const Metrics* m : {&cmp.indeda, &cmp.hidap, &cmp.handfp}) {

@@ -1,15 +1,95 @@
 #include "baseline/flat_sa.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <optional>
+#include <unordered_map>
 
-#include "baseline/flat_cost.hpp"
 #include "util/log.hpp"
 #include "util/timer.hpp"
 
 namespace hidap {
+
+namespace {
+
+std::optional<Point> port_pos(const Design& design, const SeqNode& node) {
+  Point p{};
+  int counted = 0;
+  for (const CellId bit : node.bits) {
+    if (design.cell(bit).fixed_pos) {
+      p.x += design.cell(bit).fixed_pos->x;
+      p.y += design.cell(bit).fixed_pos->y;
+      ++counted;
+    }
+  }
+  if (counted == 0) return std::nullopt;
+  return Point{p.x / counted, p.y / counted};
+}
+
+// The flat SA objective: bit-weighted sequential wirelength between
+// macro centers / fixed-port centroids, plus overlap and out-of-die
+// area, recomputed in full on every call.
+class FlatCostModel {
+ public:
+  FlatCostModel(const Design& design, const SeqGraph& seq, const Rect& die,
+                double overlap_weight)
+      : die_(die), overlap_weight_(overlap_weight) {
+    // Edges between macros / macro and port, precomputed.
+    for (const SeqEdge& e : seq.edges()) {
+      const SeqNode& a = seq.node(e.from);
+      const SeqNode& b = seq.node(e.to);
+      if (a.kind == SeqKind::Macro && b.kind == SeqKind::Macro) {
+        macro_edges_.push_back({a.macro_cell, b.macro_cell, double(e.bits)});
+      } else if (a.kind == SeqKind::Macro && b.kind == SeqKind::Port) {
+        if (const auto p = port_pos(design, b)) {
+          port_edges_.push_back({a.macro_cell, *p, double(e.bits)});
+        }
+      } else if (a.kind == SeqKind::Port && b.kind == SeqKind::Macro) {
+        if (const auto p = port_pos(design, a)) {
+          port_edges_.push_back({b.macro_cell, *p, double(e.bits)});
+        }
+      }
+    }
+  }
+
+  double operator()(const std::vector<MacroPlacement>& macros) const {
+    std::unordered_map<CellId, Point> pos;
+    for (const MacroPlacement& m : macros) pos[m.cell] = m.rect.center();
+    double wl = 0.0;
+    for (const auto& [a, b, w] : macro_edges_) {
+      wl += w * manhattan(pos.at(a), pos.at(b));
+    }
+    for (const auto& [a, p, w] : port_edges_) wl += w * manhattan(pos.at(a), p);
+    double overlap = 0.0;
+    for (std::size_t i = 0; i < macros.size(); ++i) {
+      for (std::size_t j = i + 1; j < macros.size(); ++j) {
+        overlap += macros[i].rect.overlap_area(macros[j].rect);
+      }
+      // Out-of-die is treated as overlap with the outside.
+      const Rect& r = macros[i].rect;
+      const double inside = r.overlap_area(die_);
+      overlap += r.area() - inside;
+    }
+    return wl + overlap_weight_ * overlap;
+  }
+
+ private:
+  struct MacroEdge {
+    CellId a, b;
+    double w;
+  };
+  struct PortEdge {
+    CellId a;
+    Point p;
+    double w;
+  };
+  Rect die_;
+  double overlap_weight_;
+  std::vector<MacroEdge> macro_edges_;
+  std::vector<PortEdge> port_edges_;
+};
+
+}  // namespace
 
 PlacementResult place_macros_flat_sa(const Design& design, const SeqGraph& seq,
                                      const FlatSaOptions& options) {
@@ -38,18 +118,13 @@ PlacementResult place_macros_flat_sa(const Design& design, const SeqGraph& seq,
 
   Rng rng(options.anneal.seed ^ 0xe7037ed1a0b428dbULL);
 
-  // One random move, shared by both evaluation modes so they consume the
-  // identical RNG stream. `save` is called with each macro index about to
-  // be mutated, before the mutation; returns the moved indices.
-  const auto propose_move = [&rng, &die](std::vector<MacroPlacement>& s, auto&& save,
-                                         std::array<std::size_t, 2>& moved) -> std::size_t {
+  // One random move: swap two centers, displace one macro, or rotate it.
+  const auto perturb = [&rng, &die](std::vector<MacroPlacement>& s) {
     const std::size_t i = rng.next_below(s.size());
     const int kind = rng.next_int(0, 2);
     if (kind == 0 && s.size() >= 2) {
       // Swap centers of two macros.
       const std::size_t j = rng.next_below(s.size());
-      save(i);
-      if (j != i) save(j);
       const Point ci = s[i].rect.center();
       const Point cj = s[j].rect.center();
       auto recenter = [](MacroPlacement& m, const Point& c) {
@@ -58,11 +133,7 @@ PlacementResult place_macros_flat_sa(const Design& design, const SeqGraph& seq,
       };
       recenter(s[i], cj);
       recenter(s[j], ci);
-      moved = {i, j};
-      return j == i ? 1 : 2;
-    }
-    save(i);
-    if (kind == 1) {
+    } else if (kind == 1) {
       // Random displacement (up to 20% of the die).
       s[i].rect.x += rng.next_double(-0.2, 0.2) * die.w;
       s[i].rect.y += rng.next_double(-0.2, 0.2) * die.h;
@@ -79,43 +150,16 @@ PlacementResult place_macros_flat_sa(const Design& design, const SeqGraph& seq,
       m.rect.y = c.y - m.rect.h / 2;
       m.orientation = swaps_dimensions(m.orientation) ? Orientation::R0 : Orientation::R90;
     }
-    moved = {i, i};
-    return 1;
   };
 
+  std::vector<MacroPlacement> backup;
   AnnealHooks hooks;
-  std::optional<IncrementalFlatCost> inc;
-  std::vector<MacroPlacement> backup;  // full-recompute mode only
-  struct UndoEntry {
-    std::size_t idx = 0;
-    MacroPlacement m;
+  hooks.propose = [&]() {
+    backup = state;
+    perturb(state);
+    return cost(state);
   };
-  std::array<UndoEntry, 2> undo;  // incremental mode only
-  std::size_t undo_count = 0;
-
-  if (options.anneal.incremental) {
-    inc.emplace(cost, state);
-    hooks.propose = [&]() {
-      undo_count = 0;
-      std::array<std::size_t, 2> moved{};
-      const std::size_t count = propose_move(
-          state, [&](std::size_t k) { undo[undo_count++] = {k, state[k]}; }, moved);
-      return inc->propose(state, std::span<const std::size_t>(moved.data(), count));
-    };
-    hooks.commit = [&]() { inc->commit(); };
-    hooks.reject = [&]() {
-      for (std::size_t u = undo_count; u-- > 0;) state[undo[u].idx] = undo[u].m;
-      inc->rollback();
-    };
-  } else {
-    hooks.propose = [&]() {
-      backup = state;
-      std::array<std::size_t, 2> moved{};
-      propose_move(state, [](std::size_t) {}, moved);
-      return cost(state);
-    };
-    hooks.reject = [&]() { state = backup; };
-  }
+  hooks.reject = [&]() { state = backup; };
   hooks.on_new_best = [&](double) { best = state; };
 
   AnnealOptions anneal_options = options.anneal;

@@ -27,6 +27,23 @@ void post_phase_micros(const JobControl* control, const char* name, double secon
   }
 }
 
+// One pipeline phase in scope: its trace span (inert unless tracing is
+// on) and its wall clock, posted to `counter` on scope exit.
+class Phase {
+ public:
+  Phase(const char* span, const char* counter, const JobControl* control)
+      : span_(span, "pipeline"), counter_(counter), control_(control) {}
+  ~Phase() { post_phase_micros(control_, counter_, timer_.seconds()); }
+  Phase(const Phase&) = delete;
+  Phase& operator=(const Phase&) = delete;
+
+ private:
+  obs::Span span_;
+  Timer timer_;
+  const char* counter_;
+  const JobControl* control_;
+};
+
 }  // namespace
 
 PlacementResult place_macros(const Design& design, const HiDaPOptions& options,
@@ -58,23 +75,21 @@ PlacementResult place_macros(const Design& design, const PlacementContext& conte
       floorplanner.adopt_recursion_plan(*artifacts->recursion_plan);
     }
   }
-  // Curve generation is left to run(): under overlap_curves the shards
+  // Curve generation is left to run(): with more than one lane the shards
   // run as a pool task overlapped with the recursion front (joined at
   // the level-0 anneal's first curve read), and with one lane run()
   // generates eagerly -- both with the same per-node seeds, so results
-  // are bit-identical to the old eager call. The phase clock comes from
+  // are bit-identical to the old eager call. The curve clock comes from
   // the floorplanner itself (an outer timer would misattribute the
   // overlapped span). Adopted curves cost nothing and report nothing.
-  Timer recursion_timer;
   PlacementResult result;
   {
-    obs::Span recursion_span("recursion", "pipeline");
+    const Phase phase("recursion", "phase.recursion_us", control);
     result = floorplanner.run(die);
   }
   if (!curves_adopted) {
     post_phase_micros(control, "phase.curves_us", floorplanner.curves_seconds());
   }
-  post_phase_micros(control, "phase.recursion_us", recursion_timer.seconds());
 
   const bool stopped = control != nullptr && control->should_stop();
   if (artifacts != nullptr && !stopped) {
@@ -110,25 +125,21 @@ PlacementResult place_macros(const Design& design, const PlacementContext& conte
   std::set<CellId> preplaced;
   for (const MacroPlacement& m : options.job.preplaced) preplaced.insert(m.cell);
   {
-    obs::Span flip_span("flip", "pipeline");
-    Timer flip_timer;
+    const Phase phase("flip", "phase.flip_us", control);
     flip_macros(design, context.ht, floorplanner.region_of_node(),
                 floorplanner.region_valid(), result.macros, options.flipping_passes,
                 preplaced.empty() ? nullptr : &preplaced);
-    post_phase_micros(control, "phase.flip_us", flip_timer.seconds());
   }
 
   // Final legality pass: snapping and preplacement can leave small
   // overlaps or halo violations; clean them with minimal displacement.
   if (options.macro_halo > 0.0 ||
       total_overlap(result.macros, options.macro_halo) > 0.0) {
-    obs::Span legalize_span("legalize", "pipeline");
-    Timer legalize_timer;
+    const Phase phase("legalize", "phase.legalize_us", control);
     LegalizeOptions legal;
     legal.halo = options.macro_halo;
     legal.fixed = preplaced;
     legalize_macros(design, result.macros, legal);
-    post_phase_micros(control, "phase.legalize_us", legalize_timer.seconds());
   }
 
   // A stop requested after the recursion finished still reports its

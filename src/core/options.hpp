@@ -48,29 +48,13 @@ struct HiDaPOptions {
 
   // Task-level parallelism (runtime/thread_pool.hpp): lambda/seed
   // sweeps, multi-chain SA, the flow comparison and the recursion
-  // scheduler shard over the global pool. 0 = auto (HIDAP_THREADS or
-  // hardware concurrency); 1 reproduces the sequential behavior
-  // exactly. Results are bit-identical at any setting.
+  // scheduler shard over the global pool, and with more than one lane
+  // shape-curve generation overlaps the recursion front (see
+  // RecursiveFloorplanner::run). 0 = auto (HIDAP_THREADS or hardware
+  // concurrency); 1 runs everything inline as a sequential DFS, the
+  // scheduler's differential oracle. Results are bit-identical at any
+  // setting.
   int num_threads = 0;
-
-  // Hierarchical task-graph scheduler (Algorithm 2's recursion as pool
-  // tasks): independent sibling subtrees anneal concurrently. Under
-  // snapshot estimate semantics (core/estimate_store.hpp), siblings are
-  // data-independent by construction, so placements are bit-identical
-  // at any thread count; `false` runs the same snapshot-semantics
-  // recursion as a plain sequential DFS (the differential oracle for
-  // the scheduler).
-  bool parallel_levels = true;
-
-  // Overlap shape-curve generation with the recursion front: run() then
-  // dispatches the depth-rank curve shards as a sibling pool task and
-  // joins it right before the level-0 anneal first reads a curve, hiding
-  // the curve wall behind recursion planning, target-area assignment and
-  // dataflow inference. Curves and placements are bit-identical either
-  // way (the shards write only shape_curves_, which nothing in the
-  // overlap window reads, and per-node seeds ignore scheduling); with
-  // one thread the dispatch degenerates to the eager call.
-  bool overlap_curves = true;
 
   /// Scales SA effort (moves per temperature, cooling) by a factor;
   /// benches use ~0.3-1, the handFP proxy ~3.

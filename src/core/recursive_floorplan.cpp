@@ -142,7 +142,7 @@ void RecursiveFloorplanner::generate_shape_curves() {
 
 PlacementResult RecursiveFloorplanner::run(const Rect& die) {
   if (!curves_ready_ && !curves_task_.valid()) {
-    if (options_.overlap_curves && effective_thread_count(options_.num_threads) > 1) {
+    if (effective_thread_count(options_.num_threads) > 1) {
       // Overlap the curve shards with the recursion front: everything up
       // to the level-0 anneal (planning, target areas, dataflow
       // inference) reads no curve, so the dispatch hides the curve wall
@@ -346,18 +346,12 @@ void RecursiveFloorplanner::floorplan_level(HtNodeId nh, const Rect& region, int
       fix_single_macro(block, layout.rects[b], attract, child[b]);
     }
   };
-  if (!options_.parallel_levels) {
-    // Sequential DFS: computes exactly what the scheduler computes (the
-    // differential oracle).
-    for (std::size_t b = 0; b < nb; ++b) process_block(b);
-  } else {
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(nb);
-    for (std::size_t b = 0; b < nb; ++b) {
-      tasks.push_back([&process_block, b] { process_block(b); });
-    }
-    parallel_invoke(tasks, effective_thread_count(options_.num_threads));
+  std::vector<std::function<void()>> tasks;
+  tasks.reserve(nb);
+  for (std::size_t b = 0; b < nb; ++b) {
+    tasks.push_back([&process_block, b] { process_block(b); });
   }
+  parallel_invoke(tasks, effective_thread_count(options_.num_threads));
 
   // Post-join splice in DFS block order: byte-stable at any thread count.
   for (std::size_t b = 0; b < nb; ++b) {

@@ -9,7 +9,7 @@
 // their rectangle; single-macro blocks pin their macro into the corner of
 // the rectangle that minimizes attraction distance.
 //
-// Scheduling model (HiDaPOptions::parallel_levels): the recursion is an
+// Scheduling model: the recursion is an
 // explicit task graph over runtime::ThreadPool rather than an implicit
 // DFS. Three ingredients make sibling subtrees data-independent, so the
 // scheduler can run them in any order -- including concurrently -- with
@@ -28,7 +28,7 @@
 //     SubtreeResult; fragments are spliced in DFS block order after the
 //     join, so PlacementResult is byte-stable at any thread count.
 //
-// parallel_levels = false runs the identical snapshot-semantics
+// HiDaPOptions::num_threads = 1 runs the identical snapshot-semantics
 // computation as a plain sequential DFS -- the differential oracle for
 // the scheduler.
 
@@ -80,8 +80,8 @@ class RecursiveFloorplanner {
   ~RecursiveFloorplanner();  // joins an in-flight curve dispatch
 
   /// Runs shape-curve generation followed by the recursion over the die.
-  /// With HiDaPOptions::overlap_curves (and more than one lane) the
-  /// curve shards run as a sibling pool task overlapped with recursion
+  /// With more than one lane (HiDaPOptions::num_threads) the curve
+  /// shards run as a sibling pool task overlapped with recursion
   /// planning and the level-0 target-area / dataflow work, joined just
   /// before the level-0 anneal first reads a curve.
   PlacementResult run(const Rect& die);
@@ -105,7 +105,7 @@ class RecursiveFloorplanner {
   void generate_shape_curves();
 
   /// Wall seconds the last generate_shape_curves() spent (the phase's
-  /// own clock: under overlap_curves the work runs concurrently with the
+  /// own clock: with more than one lane the work runs concurrently with the
   /// recursion front, so an outer timer would misattribute it).
   double curves_seconds() const { return curves_seconds_; }
 
@@ -154,7 +154,7 @@ class RecursiveFloorplanner {
   Rect die_{};  // run()'s die; bounds the stop-path grid fallback
   bool curves_ready_ = false;
   bool plan_adopted_ = false;
-  /// Overlapped curve generation in flight (overlap_curves); the shards
+  /// Overlapped curve generation in flight (more than one lane); the shards
   /// write only shape_curves_ / curves_seconds_, which nothing in the
   /// overlap window reads, and the join publishes them. The claim flag
   /// decides who runs the generation -- the first of the pool task and

@@ -30,11 +30,11 @@ struct AnnealOptions {
   /// chains in parallel on the global thread pool.
   int chains = 1;
 
-  /// Use the incremental move-evaluation engine where the caller has one
-  /// (optimize_layout, flat SA). Off = full recompute on every proposal,
-  /// the reference oracle. Both modes draw the same RNG stream and
-  /// produce bit-identical costs, so the result is the same either way;
-  /// the switch exists for differential testing and as an escape hatch.
+  /// Layout anneals (optimize_layout) only: evaluate moves with the
+  /// incremental engine. Off = full recompute on every proposal, the
+  /// reference oracle. Both modes draw the same RNG stream and produce
+  /// bit-identical costs, so the result is the same either way; the
+  /// switch exists for differential testing.
   bool incremental = true;
 
   /// Cooperative stop handle, polled before every calibration and

@@ -1,9 +1,7 @@
 #include "floorplan/budget_layout.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
-#include <cstdint>
 #include <optional>
 
 namespace hidap {
@@ -49,21 +47,13 @@ double min_extent(const BudgetNodeInfo& info, double cross, bool along_width) {
   return along_width ? cheapest.w : cheapest.h;
 }
 
-// Grades the final rectangle of a leaf block against its <Gamma, am, at>:
-// the violation adds that fire, in budget_apply_adds order.
-BudgetLeafAdds leaf_adds(const BudgetBlock& b, const Rect& rect) {
-  BudgetLeafAdds a;
+// Grades the final rectangle of a leaf block against its <Gamma, am, at>.
+void score_leaf(const BudgetBlock& b, const Rect& rect, BudgetViolations& v) {
   const double area = rect.area();
-  if (area + 1e-9 < b.at) {
-    a.at_add = b.at - area;
-    a.flags |= BudgetLeafAdds::kAt;
-  }
-  if (area + 1e-9 < b.am) {
-    a.am_add = b.am - area;
-    a.flags |= BudgetLeafAdds::kAm;
-  }
+  if (area + 1e-9 < b.at) v.at_deficit += b.at - area;
+  if (area + 1e-9 < b.am) v.am_deficit += b.am - area;
   if (!b.gamma.empty() && !b.gamma.fits(rect.w, rect.h)) {
-    a.flags |= BudgetLeafAdds::kMacro;
+    ++v.infeasible_leaves;
     // Overflow area of the best attempt: how much macro bounding box
     // sticks out of the rectangle.
     double overflow = 0.0;
@@ -74,109 +64,55 @@ BudgetLeafAdds leaf_adds(const BudgetBlock& b, const Rect& rect) {
       overflow = ow * rect.h + oh * rect.w + ow * oh;
       if (best_overflow < 0 || overflow < best_overflow) best_overflow = overflow;
     }
-    a.macro_add = std::max(best_overflow, 0.0);
+    v.macro_deficit += std::max(best_overflow, 0.0);
   }
-  return a;
 }
 
-// One skip rule (full-pass-equivalent, valid from ANY accumulator
-// state): a subtree whose content is unchanged and whose rectangle is
-// bit-equal to the committed pass lays out identically, so its leaf
-// rects are the committed ones and its violation adds replay from the
-// committed journal slice of its span -- the identical operands in the
-// identical order (see BudgetLeafAdds). No accumulator-entry comparison
-// is needed, which is what lets skips keep firing downstream of a
-// divergent (dirty) leaf, where the running totals have drifted.
+// Left extent of a split of `extent`: the area-proportional `wanted`,
+// raised to min_l and then capped at extent - min_r when both minima
+// fit, else the shortfall shared in proportion to the minima. Not
+// std::clamp: min_l + min_r <= extent can hold while extent - min_r <
+// min_l by a rounding step, which std::clamp forbids (hi < lo); the cap
+// then wins, exactly as libstdc++'s min(max(v, lo), hi) resolves it.
+double split_extent(double wanted, double extent, double min_l, double min_r) {
+  if (min_l + min_r <= extent) {
+    const double raised = wanted < min_l ? min_l : wanted;
+    const double cap = extent - min_r;
+    return cap < raised ? cap : raised;
+  }
+  return extent * (min_l / (min_l + min_r));
+}
+
 void assign(const SlicingTree& tree, const BudgetNodeInfo* const* infos,
             const std::vector<BudgetBlock>& blocks, int node_id, const Rect& rect,
-            BudgetResult& result, const BudgetSkipContext* skip) {
-  const auto idx = static_cast<std::size_t>(node_id);
-  if (skip != nullptr) {
-    if (skip->committed != nullptr && skip->clean[idx] &&
-        budget_bits_equal(skip->committed->node_rect[idx], rect)) {
-      const auto span = static_cast<std::uint32_t>(skip->span_start[idx]);
-      const std::vector<BudgetSplitCache::FiredLeaf>& fired = skip->committed->fired;
-      auto it = std::lower_bound(
-          fired.begin(), fired.end(), span,
-          [](const BudgetSplitCache::FiredLeaf& f, std::uint32_t p) { return f.pos < p; });
-      const auto first = it;
-      for (; it != fired.end() && it->pos <= idx; ++it) {
-        budget_apply_adds(it->adds, result.violations);
-      }
-      // The span's leaf rects keep their committed (identical) values:
-      // copied here when the committed rects are at hand, pre-seeded by
-      // the caller otherwise.
-      if (skip->committed_leaf_rects != nullptr) {
-        for (std::size_t p = span; p <= idx; ++p) {
-          const SlicingTree::Node& n = tree.nodes[p];
-          if (n.is_leaf()) {
-            const auto leaf = static_cast<std::size_t>(n.leaf);
-            result.leaf_rects[leaf] = (*skip->committed_leaf_rects)[leaf];
-          }
-        }
-      }
-      if (skip->record != nullptr) {
-        // Refresh the record from the committed snapshots so a later
-        // pass can skip any sub-span of this subtree too (snapshots of
-        // an unchanged span stay valid forever: they are pure functions
-        // of its blocks and rectangle). Journal appends stay sorted:
-        // the walk reaches spans in ascending position order.
-        const auto s = static_cast<std::ptrdiff_t>(span);
-        std::copy_n(skip->committed->node_rect.begin() + s,
-                    static_cast<std::ptrdiff_t>(idx + 1) - s,
-                    skip->record->node_rect.begin() + s);
-        skip->record->fired.insert(skip->record->fired.end(), first, it);
-      }
-      return;
-    }
-    if (skip->record != nullptr) skip->record->node_rect[idx] = rect;
-  }
-
-  const SlicingTree::Node& node = tree.nodes[idx];
+            BudgetResult& result) {
+  const SlicingTree::Node& node = tree.nodes[static_cast<std::size_t>(node_id)];
   if (node.is_leaf()) {
-    result.leaf_rects[static_cast<std::size_t>(node.leaf)] = rect;
-    const BudgetLeafAdds adds =
-        leaf_adds(blocks[static_cast<std::size_t>(node.leaf)], rect);
-    budget_apply_adds(adds, result.violations);
-    if (adds.fired() && skip != nullptr && skip->record != nullptr) {
-      skip->record->fired.push_back({static_cast<std::uint32_t>(idx), adds});
-    }
+    const auto leaf = static_cast<std::size_t>(node.leaf);
+    result.leaf_rects[leaf] = rect;
+    score_leaf(blocks[leaf], rect, result.violations);
+    return;
+  }
+  const BudgetNodeInfo& l = *infos[static_cast<std::size_t>(node.left)];
+  const BudgetNodeInfo& r = *infos[static_cast<std::size_t>(node.right)];
+  const double at_sum = l.at + r.at;
+  const double ratio = at_sum > 0 ? l.at / at_sum : 0.5;
+  if (node.op == kOpV) {
+    // Side-by-side: split the width.
+    const double wl = split_extent(rect.w * ratio, rect.w,
+                                   min_extent(l, rect.h, /*along_width=*/true),
+                                   min_extent(r, rect.h, /*along_width=*/true));
+    assign(tree, infos, blocks, node.left, Rect{rect.x, rect.y, wl, rect.h}, result);
+    assign(tree, infos, blocks, node.right, Rect{rect.x + wl, rect.y, rect.w - wl, rect.h},
+           result);
   } else {
-    const BudgetNodeInfo& l = *infos[static_cast<std::size_t>(node.left)];
-    const BudgetNodeInfo& r = *infos[static_cast<std::size_t>(node.right)];
-    const double at_sum = l.at + r.at;
-    const double ratio = at_sum > 0 ? l.at / at_sum : 0.5;
-
-    if (node.op == kOpV) {
-      // Side-by-side: split the width.
-      double wl = rect.w * ratio;
-      const double min_l = min_extent(l, rect.h, /*along_width=*/true);
-      const double min_r = min_extent(r, rect.h, /*along_width=*/true);
-      if (min_l + min_r <= rect.w) {
-        wl = std::clamp(wl, min_l, rect.w - min_r);
-      } else {
-        // Even the minima do not fit; split the shortfall proportionally.
-        wl = rect.w * (min_l / (min_l + min_r));
-      }
-      assign(tree, infos, blocks, node.left, Rect{rect.x, rect.y, wl, rect.h}, result,
-             skip);
-      assign(tree, infos, blocks, node.right,
-             Rect{rect.x + wl, rect.y, rect.w - wl, rect.h}, result, skip);
-    } else {
-      // Stacked: split the height.
-      double hl = rect.h * ratio;
-      const double min_l = min_extent(l, rect.w, /*along_width=*/false);
-      const double min_r = min_extent(r, rect.w, /*along_width=*/false);
-      if (min_l + min_r <= rect.h) {
-        hl = std::clamp(hl, min_l, rect.h - min_r);
-      } else {
-        hl = rect.h * (min_l / (min_l + min_r));
-      }
-      assign(tree, infos, blocks, node.left, Rect{rect.x, rect.y, rect.w, hl}, result,
-             skip);
-      assign(tree, infos, blocks, node.right,
-             Rect{rect.x, rect.y + hl, rect.w, rect.h - hl}, result, skip);
-    }
+    // Stacked: split the height.
+    const double hl = split_extent(rect.h * ratio, rect.h,
+                                   min_extent(l, rect.w, /*along_width=*/false),
+                                   min_extent(r, rect.w, /*along_width=*/false));
+    assign(tree, infos, blocks, node.left, Rect{rect.x, rect.y, rect.w, hl}, result);
+    assign(tree, infos, blocks, node.right, Rect{rect.x, rect.y + hl, rect.w, rect.h - hl},
+           result);
   }
 }
 
@@ -184,11 +120,8 @@ void assign(const SlicingTree& tree, const BudgetNodeInfo* const* infos,
 
 void budget_assign(const SlicingTree& tree, const BudgetNodeInfo* const* infos,
                    const std::vector<BudgetBlock>& blocks, const Rect& budget,
-                   BudgetResult& result, const BudgetSkipContext* skip) {
-  assert(skip == nullptr || skip->committed == nullptr ||
-         (skip->clean != nullptr && skip->span_start != nullptr));
-  if (skip != nullptr && skip->record != nullptr) skip->record->fired.clear();
-  assign(tree, infos, blocks, tree.root, budget, result, skip);
+                   BudgetResult& result) {
+  assign(tree, infos, blocks, tree.root, budget, result);
 }
 
 BudgetResult budget_layout(const PolishExpression& expr,

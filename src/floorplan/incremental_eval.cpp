@@ -62,9 +62,6 @@ IncrementalLayoutEval::IncrementalLayoutEval(const std::vector<BudgetBlock>& blo
   scratch_infos_.resize(len);
   dirty_nodes_.reserve(len);
   seen_once_.assign(std::size_t{1} << kSeenOnceBits, 0);
-  committed_split_.resize(len);
-  proposed_split_.resize(len);
-  clean_nodes_.resize(len);
 
   evaluate_proposed(/*reuse_committed=*/false);
   pending_ = true;
@@ -132,7 +129,6 @@ void IncrementalLayoutEval::evaluate_proposed(bool reuse_committed) {
     const bool clean =
         reuse_committed &&
         changed_prefix_[i + 1] == changed_prefix_[static_cast<std::size_t>(span_start_[i])];
-    clean_nodes_[i] = clean ? 1 : 0;
     if (clean) {
       info_ptrs_[i] = &infos_[i];
       // A committed value that was never admitted to the memo still
@@ -191,25 +187,10 @@ void IncrementalLayoutEval::evaluate_proposed(bool reuse_committed) {
     dirty_nodes_.push_back(static_cast<std::uint32_t>(i));
   }
 
-  // Top-down split + violation grading, in the oracle's exact traversal
-  // order -- except that clean subtrees skip straight through their
-  // committed snapshots (leaf rects of skipped spans are copied from the
-  // committed layout inside the skip branch).
+  // Top-down split + violation grading: the oracle's own pass.
   proposed_layout_.leaf_rects.resize(n);
   proposed_layout_.violations = BudgetViolations{};
-  if (options_.skip_splits && reuse_committed) {
-    // Read-only pass against the committed snapshots: skips fire, nothing
-    // is recorded. Recording happens once, in commit(), so the (majority
-    // of) rejected proposals never pay for snapshot stores.
-    BudgetSkipContext skip;
-    skip.committed = &committed_split_;
-    skip.clean = clean_nodes_.data();
-    skip.span_start = span_start_.data();
-    skip.committed_leaf_rects = &committed_layout_.leaf_rects;
-    budget_assign(tree_, info_ptrs_.data(), blocks_, region_, proposed_layout_, &skip);
-  } else {
-    budget_assign(tree_, info_ptrs_.data(), blocks_, region_, proposed_layout_);
-  }
+  budget_assign(tree_, info_ptrs_.data(), blocks_, region_, proposed_layout_);
 
   // Block centers (the terminal tail is constant; see the constructor).
   for (std::size_t b = 0; b < n; ++b) {
@@ -264,23 +245,6 @@ double IncrementalLayoutEval::propose(const std::function<void(PolishExpression&
 
 void IncrementalLayoutEval::commit() {
   assert(pending_ && "commit() without a pending proposal");
-  if (options_.skip_splits) {
-    // Record the accepted pass's per-node snapshots by re-walking its
-    // tree: clean spans replay wholesale from the old committed cache
-    // (eager copies), dirty paths re-run the same cheap arithmetic the
-    // proposal pass just did. info_ptrs_ / tree_ / clean_nodes_ still
-    // describe the accepted proposal here, and the recomputed violations
-    // are bit-identical to the proposal's, so overwriting them is a
-    // no-op by value.
-    proposed_layout_.violations = BudgetViolations{};
-    BudgetSkipContext skip;
-    skip.committed = &committed_split_;
-    skip.clean = clean_nodes_.data();
-    skip.span_start = span_start_.data();
-    skip.record = &proposed_split_;
-    budget_assign(tree_, info_ptrs_.data(), blocks_, region_, proposed_layout_, &skip);
-    std::swap(committed_split_, proposed_split_);
-  }
   std::swap(committed_expr_, proposed_expr_);
   std::swap(ids_, proposed_ids_);
   // The scratch slots themselves are permanent (sized once, reused move

@@ -15,12 +15,9 @@
 //
 // IncrementalLayoutEval caches both. On propose() it re-parses the
 // expression (O(n), no curve work), recomputes node infos only along the
-// paths from mutated positions to the root, reruns the top-down budget
-// split with clean-subtree skipping (a subtree whose content, rectangle
-// and violation-accumulator entry state are bit-equal to the committed
-// pass jumps straight to its recorded exit state; see BudgetSkipContext),
-// and refreshes only the connectivity terms of blocks whose center
-// moved. The cheap final reduction (the left-to-right term sum) is rerun
+// paths from mutated positions to the root, reruns the plain top-down
+// budget split (budget_assign, the oracle's own pass), and refreshes only
+// the connectivity terms of blocks whose center moved. The cheap final reduction (the left-to-right term sum) is rerun
 // in full, in the oracle's exact accumulation order.
 //
 // Bit-identity contract: every number this class produces is the result
@@ -168,17 +165,6 @@ class IncrementalLayoutEval {
   std::vector<double> proposed_terms_;
   double proposed_cost_ = 0.0;
   bool pending_ = false;
-
-  // Skippable top-down budget splits (see BudgetSkipContext): per-node
-  // rects plus the fired-adds journal of the committed assignment pass,
-  // so a clean subtree whose rect is bit-equal replays its violation
-  // adds from the journal slice of its span without being walked.
-  // Proposals run read-only against the committed cache; commit()
-  // records the accepted pass into proposed_split_ (clean spans copy
-  // wholesale from the old cache) and promotes it, so rejected
-  // proposals never pay for recording stores.
-  BudgetSplitCache committed_split_, proposed_split_;
-  std::vector<std::uint8_t> clean_nodes_;  ///< per node: span untouched by the diff
 
   // Reused scratch (no steady-state allocation on the move hot path).
   SlicingTree tree_;

@@ -34,6 +34,17 @@ endfunction()
 run_cli(gen gen -o smoke.v --cells 1200 --macros 6 --seed 7)
 require_file(smoke.v)
 
+# A malformed numeric flag is bad usage (exit 2), never read as 0.
+execute_process(
+  COMMAND ${HIDAP_CLI} gen -o malformed.v --cells 12x --macros 6
+  WORKING_DIRECTORY ${WORK_DIR}
+  RESULT_VARIABLE rv
+  OUTPUT_VARIABLE out
+  ERROR_VARIABLE err)
+if(NOT rv EQUAL 2 OR NOT err MATCHES "usage:" OR EXISTS "${WORK_DIR}/malformed.v")
+  message(FATAL_ERROR "cli_smoke: --cells 12x should exit 2 with usage (exit ${rv}):\n${err}")
+endif()
+
 run_cli(place place -i smoke.v -o smoke.def --effort 0.05 --seed 7 --svg smoke.svg)
 require_file(smoke.def)
 require_file(smoke.svg)

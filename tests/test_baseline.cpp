@@ -91,28 +91,6 @@ TEST(FlatSa, LegalAndComplete) {
   EXPECT_EQ(r.flow_name, "FlatSA");
 }
 
-TEST(FlatSa, IncrementalAndFullRecomputeAreByteIdentical) {
-  // The delta-HPWL cache must not flip a single accept/reject decision:
-  // both modes draw the same RNG stream and must land on the same
-  // placement, bit for bit.
-  auto& fx = fixture();
-  FlatSaOptions on;
-  on.anneal.moves_per_temperature = 80;
-  on.anneal.seed = 33;
-  on.anneal.incremental = true;
-  FlatSaOptions off = on;
-  off.anneal.incremental = false;
-
-  const PlacementResult a = place_macros_flat_sa(fx.d, fx.ctx.seq, on);
-  const PlacementResult b = place_macros_flat_sa(fx.d, fx.ctx.seq, off);
-  ASSERT_EQ(a.macros.size(), b.macros.size());
-  for (std::size_t i = 0; i < a.macros.size(); ++i) {
-    EXPECT_EQ(a.macros[i].cell, b.macros[i].cell);
-    EXPECT_EQ(a.macros[i].rect, b.macros[i].rect) << "macro " << i;
-    EXPECT_EQ(a.macros[i].orientation, b.macros[i].orientation);
-  }
-}
-
 TEST(FlatSa, DeterministicBySeed) {
   auto& fx = fixture();
   FlatSaOptions o;

@@ -132,47 +132,34 @@ void expect_identical(const PlacementResult& a, const PlacementResult& b) {
 TEST_F(HidapFlowTest, SchedulerThreadCountInvariance) {
   // Sibling-subtree anneals run as pool tasks; placements, snapshots and
   // their order must be byte-stable across lane caps (kForcedPoolLanes
-  // guarantees the 8-lane run genuinely threads).
+  // guarantees the 8-lane run genuinely threads). One lane runs the
+  // identical snapshot-semantics recursion as a plain sequential DFS,
+  // the scheduler's differential oracle.
   ASSERT_EQ(ThreadPool::default_thread_count(), kForcedPoolLanes);
-  HiDaPOptions serial = quick_options(5);
-  serial.num_threads = 1;
-  HiDaPOptions wide = quick_options(5);
-  wide.num_threads = 8;
-  const PlacementResult a = place_macros(*design_, *context_, serial);
-  const PlacementResult b = place_macros(*design_, *context_, wide);
-  expect_identical(a, b);
-  HiDaPOptions mid = quick_options(5);
-  mid.num_threads = 4;
-  expect_identical(a, place_macros(*design_, *context_, mid));
-}
-
-TEST_F(HidapFlowTest, OverlappedCurveGenerationIsByteIdentical) {
-  // overlap_curves dispatches the shape-curve shards as a pool task that
-  // runs concurrently with the recursion front, joined before the first
-  // curve read. Same per-node seeds either way, so the placement must be
-  // byte-identical to the eager path at every lane cap (1 lane falls
-  // back to inline generation; the claim flag decides the rest).
-  HiDaPOptions eager = quick_options(9);
-  eager.overlap_curves = false;
-  eager.num_threads = 8;
-  const PlacementResult a = place_macros(*design_, *context_, eager);
-  for (const int threads : {1, 4, 8}) {
-    HiDaPOptions overlapped = quick_options(9);
-    overlapped.overlap_curves = true;
-    overlapped.num_threads = threads;
-    expect_identical(a, place_macros(*design_, *context_, overlapped));
+  HiDaPOptions oracle = quick_options(5);
+  oracle.num_threads = 1;
+  const PlacementResult a = place_macros(*design_, *context_, oracle);
+  for (const int threads : {4, 8}) {
+    HiDaPOptions scheduled = quick_options(5);
+    scheduled.num_threads = threads;
+    expect_identical(a, place_macros(*design_, *context_, scheduled));
   }
 }
 
-TEST_F(HidapFlowTest, SchedulerMatchesSequentialOracle) {
-  // parallel_levels = false runs the identical snapshot-semantics
-  // recursion as a plain DFS -- the scheduler's differential oracle.
-  HiDaPOptions scheduled = quick_options(7);
-  scheduled.num_threads = 8;
-  HiDaPOptions oracle = quick_options(7);
-  oracle.parallel_levels = false;
-  expect_identical(place_macros(*design_, *context_, oracle),
-                   place_macros(*design_, *context_, scheduled));
+TEST_F(HidapFlowTest, OverlappedCurveGenerationIsByteIdentical) {
+  // With more than one lane, run() dispatches the shape-curve shards as
+  // a pool task that runs concurrently with the recursion front, joined
+  // before the first curve read (the claim flag decides who generates).
+  // One lane generates eagerly inline. Same per-node seeds either way,
+  // so the overlapped placements must be byte-identical to the eager one.
+  HiDaPOptions eager = quick_options(9);
+  eager.num_threads = 1;
+  const PlacementResult a = place_macros(*design_, *context_, eager);
+  for (const int threads : {4, 8}) {
+    HiDaPOptions overlapped = quick_options(9);
+    overlapped.num_threads = threads;
+    expect_identical(a, place_macros(*design_, *context_, overlapped));
+  }
 }
 
 TEST_F(HidapFlowTest, EstimateSemanticsGoldenPair) {

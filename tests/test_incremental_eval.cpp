@@ -1,25 +1,18 @@
-// Differential property tests for the incremental move-evaluation
-// engines: thousands of randomized propose/commit/rollback sequences,
+// Differential property tests for the incremental layout move-evaluation
+// engine: thousands of randomized propose/commit/rollback sequences,
 // each step checked against the full-recompute oracle. The contract is
 // bit-identity (EXPECT_EQ on doubles, strictly stronger than the 1e-9
-// tolerance the engines promise): cached subtree infos and cached cost
+// tolerance the engine promises): cached subtree infos and cached cost
 // terms must reproduce the oracle's arithmetic exactly, including after
 // rejected-move rollbacks, or the annealer's accept/reject sequence --
 // and the final placement -- would diverge between the two modes.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <array>
-#include <cmath>
-#include <span>
 #include <vector>
 
-#include "baseline/flat_cost.hpp"
-#include "core/hidap.hpp"
 #include "core/layout_optimizer.hpp"
 #include "floorplan/incremental_eval.hpp"
-#include "gen/suite.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
 
@@ -124,57 +117,6 @@ TEST(IncrementalLayoutEval, RandomWalkMatchesFullRecomputeBitForBit) {
   }
 }
 
-TEST(IncrementalLayoutEval, SplitSkippingWalkMatchesNoSkipWalkBitForBit) {
-  // Two evaluators, split skipping on vs off, fed the identical move
-  // stream: every proposal cost and every committed state must agree bit
-  // for bit (skipped subtrees replay the committed pass's arithmetic, so
-  // there is nothing to diverge). The default-options walks above already
-  // pit skipping against the full oracle; this isolates the knob.
-  set_log_level(LogLevel::Warn);
-  for (std::uint64_t problem_seed = 20; problem_seed <= 26; ++problem_seed) {
-    GeneratedProblem g = make_problem(problem_seed);
-    g.problem.affinity = &g.affinity;
-    const int n = static_cast<int>(g.blocks.size());
-    BudgetOptions skip_on;
-    skip_on.skip_splits = true;
-    BudgetOptions skip_off;
-    skip_off.skip_splits = false;
-    IncrementalLayoutEval a(g.problem.blocks, g.problem.region, g.problem.terminals,
-                            *g.problem.affinity, PolishExpression::initial(n), skip_on);
-    IncrementalLayoutEval b(g.problem.blocks, g.problem.region, g.problem.terminals,
-                            *g.problem.affinity, PolishExpression::initial(n), skip_off);
-    ASSERT_EQ(a.cost(), b.cost());
-
-    Rng rng_a(problem_seed * 131 + 7);
-    Rng rng_b(problem_seed * 131 + 7);
-    Rng flip(problem_seed);
-    for (int step = 0; step < 200; ++step) {
-      const auto mutate = [](Rng& rng) {
-        return [&rng](PolishExpression& expr) {
-          for (int tries = 0; tries < 8; ++tries) {
-            if (expr.perturb(rng)) break;
-          }
-        };
-      };
-      const double cost_a = a.propose(mutate(rng_a));
-      const double cost_b = b.propose(mutate(rng_b));
-      ASSERT_EQ(cost_a, cost_b) << "problem " << problem_seed << " step " << step;
-      if (flip.next_bool(0.6)) {
-        a.commit();
-        b.commit();
-      } else {
-        a.rollback();
-        b.rollback();
-      }
-      ASSERT_EQ(a.cost(), b.cost());
-    }
-    ASSERT_EQ(a.expression().elements(), b.expression().elements());
-    for (std::size_t i = 0; i < a.rects().size(); ++i) {
-      ASSERT_EQ(a.rects()[i], b.rects()[i]) << "block " << i;
-    }
-  }
-}
-
 TEST(IncrementalLayoutEval, RepeatedRollbacksLeaveCommittedStateIntact) {
   GeneratedProblem g = make_problem(42);
   g.problem.affinity = &g.affinity;
@@ -241,112 +183,6 @@ TEST(IncrementalLayoutEval, MultichainAcrossPoolThreadsMatchesOracle) {
   const LayoutSolution c = optimize_layout(serial, on);
   EXPECT_EQ(a.expression.elements(), c.expression.elements());
   EXPECT_EQ(a.cost, c.cost);
-}
-
-// --- flat SA delta evaluator ------------------------------------------
-
-struct FlatFixture {
-  Design design;
-  PlacementContext ctx;
-  FlatFixture() : design(generate_circuit(fig1_spec())), ctx(design) {
-    set_log_level(LogLevel::Warn);
-  }
-};
-
-FlatFixture& flat_fixture() {
-  static FlatFixture* fx = new FlatFixture();
-  return *fx;
-}
-
-std::vector<MacroPlacement> initial_flat_state(const Design& design, Rng& rng) {
-  const Rect die{0, 0, design.die().w, design.die().h};
-  std::vector<MacroPlacement> state;
-  for (const CellId cell : design.macros()) {
-    const MacroDef& def = design.macro_def_of(cell);
-    state.push_back({cell,
-                     Rect{rng.next_double(die.x, die.xmax() * 0.7),
-                          rng.next_double(die.y, die.ymax() * 0.7), def.w, def.h},
-                     Orientation::R0});
-  }
-  return state;
-}
-
-TEST(IncrementalFlatCost, RandomWalkMatchesFullRecomputeBitForBit) {
-  FlatFixture& fx = flat_fixture();
-  const Rect die{0, 0, fx.design.die().w, fx.design.die().h};
-  const FlatCostModel model(fx.design, fx.ctx.seq, die, 4.0);
-
-  Rng rng(1234);
-  std::vector<MacroPlacement> state = initial_flat_state(fx.design, rng);
-  ASSERT_GE(state.size(), 2u);
-  IncrementalFlatCost inc(model, state);
-  EXPECT_EQ(inc.cost(), model(state));
-
-  for (int step = 0; step < 1500; ++step) {
-    // One random move: swap two centers, displace, or rotate.
-    std::array<std::size_t, 2> moved{};
-    std::size_t count = 1;
-    std::array<MacroPlacement, 2> saved{};
-    const std::size_t i = rng.next_below(state.size());
-    const int kind = rng.next_int(0, 2);
-    if (kind == 0) {
-      const std::size_t j = rng.next_below(state.size());
-      moved = {i, j};
-      count = j == i ? 1 : 2;
-      saved = {state[i], state[j]};
-      const Point ci = state[i].rect.center();
-      const Point cj = state[j].rect.center();
-      state[i].rect.x = cj.x - state[i].rect.w / 2;
-      state[i].rect.y = cj.y - state[i].rect.h / 2;
-      state[j].rect.x = ci.x - state[j].rect.w / 2;
-      state[j].rect.y = ci.y - state[j].rect.h / 2;
-    } else if (kind == 1) {
-      moved = {i, i};
-      saved[0] = state[i];
-      state[i].rect.x += rng.next_double(-0.2, 0.2) * die.w;
-      state[i].rect.y += rng.next_double(-0.2, 0.2) * die.h;
-    } else {
-      moved = {i, i};
-      saved[0] = state[i];
-      const Point c = state[i].rect.center();
-      std::swap(state[i].rect.w, state[i].rect.h);
-      state[i].rect.x = c.x - state[i].rect.w / 2;
-      state[i].rect.y = c.y - state[i].rect.h / 2;
-    }
-
-    const double inc_cost =
-        inc.propose(state, std::span<const std::size_t>(moved.data(), count));
-    ASSERT_EQ(inc_cost, model(state)) << "step " << step << " kind " << kind;
-
-    if (rng.next_bool(0.55)) {
-      inc.commit();
-    } else {
-      for (std::size_t u = count; u-- > 0;) state[moved[u]] = saved[u];
-      inc.rollback();
-    }
-    ASSERT_EQ(inc.cost(), model(state)) << "after commit/rollback, step " << step;
-  }
-}
-
-TEST(IncrementalFlatCost, RollbackRestoresCachedTerms) {
-  FlatFixture& fx = flat_fixture();
-  const Rect die{0, 0, fx.design.die().w, fx.design.die().h};
-  const FlatCostModel model(fx.design, fx.ctx.seq, die, 4.0);
-  Rng rng(5);
-  std::vector<MacroPlacement> state = initial_flat_state(fx.design, rng);
-  IncrementalFlatCost inc(model, state);
-  const double cost0 = inc.cost();
-  for (int r = 0; r < 32; ++r) {
-    const std::size_t i = rng.next_below(state.size());
-    const MacroPlacement saved = state[i];
-    state[i].rect.x += rng.next_double(-5, 5);
-    const std::array<std::size_t, 1> moved{i};
-    inc.propose(state, std::span<const std::size_t>(moved.data(), 1));
-    state[i] = saved;
-    inc.rollback();
-  }
-  EXPECT_EQ(inc.cost(), cost0);
-  EXPECT_EQ(inc.cost(), model(state));
 }
 
 }  // namespace

@@ -57,7 +57,7 @@ TEST_P(SuiteMatrix, GeneratePlaceVerify) {
   EXPECT_FALSE(result.snapshots.empty());
 }
 
-TEST_P(SuiteMatrix, BatchedAndScalarPlacementDefsAreByteIdentical) {
+TEST_P(SuiteMatrix, IncrementalAndFullRecomputeDefsAreByteIdentical) {
   // On every Table II circuit the incremental layout SA engine must emit
   // the byte-identical DEF the full-recompute oracle (incremental =
   // false) does, at 1 thread and with the pool fanned out -- placement
