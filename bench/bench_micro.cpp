@@ -55,26 +55,14 @@ void BM_ShapeCurveCompose(benchmark::State& state) {
 }
 BENCHMARK(BM_ShapeCurveCompose)->Arg(8)->Arg(32)->Arg(128);
 
-// Sweep vs pairwise shape-curve composition at realistic frontier sizes
-// (aspect-swept staircases like the ones pack_shape_curve and
-// budget_compose_info shuttle around; exactly p points each). The sweep
-// must produce bit-identical point lists; only the time may differ
-// (acceptance gate: >= 5x at p = 16..64).
+// Sweep shape-curve composition at realistic frontier sizes (aspect-swept
+// staircases like the ones pack_shape_curve and budget_compose_info
+// shuttle around; exactly p points each). Its pairwise reference lives in
+// tests/shape_curve_oracle.hpp.
 ShapeCurve compose_bench_curve(int p, std::uint64_t seed) {
   Rng rng(seed);
   return ShapeCurve::soft_area(rng.next_double(800, 3000), 0.25, 4.0, p);
 }
-
-void BM_ComposePairwise(benchmark::State& state) {
-  const int p = static_cast<int>(state.range(0));
-  const ShapeCurve a = compose_bench_curve(p, 21);
-  const ShapeCurve b = compose_bench_curve(p, 22);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ShapeCurve::compose_horizontal_pairwise(a, b));
-    benchmark::DoNotOptimize(ShapeCurve::compose_vertical_pairwise(a, b));
-  }
-}
-BENCHMARK(BM_ComposePairwise)->Arg(16)->Arg(32)->Arg(64);
 
 void BM_ComposeSweep(benchmark::State& state) {
   const int p = static_cast<int>(state.range(0));

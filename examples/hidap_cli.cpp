@@ -208,11 +208,13 @@ int cmd_flows(const Args& args) {
   options.hidap.num_threads = args.threads;
   options.hidap.layout_anneal.chains = std::max(1, args.chains);
   const FlowComparison cmp = compare_flows(design, options);
-  ReportTable table({"flow", "WL(m)", "norm", "GRC%", "WNS%", "TNS(ns)", "time(s)"});
+  ReportTable table(
+      {"flow", "WL(m)", "norm", "GRC%", "WNS%", "TNS(ns)", "place(s)", "eval(s)"});
   for (const Metrics* m : {&cmp.indeda, &cmp.hidap, &cmp.handfp}) {
     table.add_row({m->flow, ReportTable::num(m->wl_m), ReportTable::num(m->wl_norm),
                    ReportTable::num(m->grc_percent, 2), ReportTable::num(m->wns_percent, 1),
-                   ReportTable::num(m->tns_ns, 0), ReportTable::num(m->runtime_s, 1)});
+                   ReportTable::num(m->tns_ns, 0), ReportTable::num(m->runtime_s, 1),
+                   ReportTable::num(m->eval_s, 1)});
   }
   table.print();
   if (!args.csv.empty()) {

@@ -35,12 +35,12 @@ int main(int argc, char** argv) {
   options.handfp_effort = 2.0;
 
   const FlowComparison cmp = compare_flows(design, options);
-  std::printf("%-8s %10s %8s %8s %8s %10s %10s\n", "flow", "WL(m)", "norm", "GRC%",
-              "WNS%", "TNS(ns)", "time(s)");
+  std::printf("%-8s %10s %8s %8s %8s %10s %10s %10s\n", "flow", "WL(m)", "norm", "GRC%",
+              "WNS%", "TNS(ns)", "place(s)", "eval(s)");
   for (const Metrics* m : {&cmp.indeda, &cmp.hidap, &cmp.handfp}) {
-    std::printf("%-8s %10.3f %8.3f %8.2f %8.1f %10.0f %10.1f\n", m->flow.c_str(),
+    std::printf("%-8s %10.3f %8.3f %8.2f %8.1f %10.0f %10.1f %10.1f\n", m->flow.c_str(),
                 m->wl_m, m->wl_norm, m->grc_percent, m->wns_percent, m->tns_ns,
-                m->runtime_s);
+                m->runtime_s, m->eval_s);
   }
   std::printf("\nexpected: HiDaP well below IndEDA in WL/WNS, close to handFP\n");
   return 0;

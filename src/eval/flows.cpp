@@ -22,20 +22,36 @@ namespace {
 struct SweepSlot {
   PlacementResult result;
   Metrics metrics;
-  double seconds = 0.0;  ///< this configuration's own wall time
+  double seconds = 0.0;       ///< this configuration's place_macros wall time
+  double eval_seconds = 0.0;  ///< this configuration's evaluation wall time
 };
 
-// The flow's reported effort is the SUM of its configurations' own task
-// times, not the fork-join span: on a shared pool the span overlaps the
-// other flows' and circuits' work, which would inflate the Table II/III
-// effort columns and make them thread-count dependent.
-PlacementResult take_best(std::vector<SweepSlot>& slots, const char* flow_name) {
+// Places one sweep configuration and evaluates it into `slot`.
+void run_slot(SweepSlot& slot, const Design& design, const PlacementContext& context,
+              const HiDaPOptions& opts, const EvalOptions& eval) {
+  const Timer place_timer;
+  slot.result = place_macros(design, context, opts);
+  slot.seconds = place_timer.seconds();
+  const Timer eval_timer;
+  slot.metrics = evaluate_placement(design, context.ht, context.seq, slot.result, eval);
+  slot.eval_seconds = eval_timer.seconds();
+}
+
+// The flow's reported effort is the SUM of its configurations' own
+// placement times, not the fork-join span: on a shared pool the span
+// overlaps the other flows' and circuits' work, which would inflate the
+// Table II/III effort columns and make them thread-count dependent. The
+// selection evaluations are summed apart, into `eval_seconds`.
+PlacementResult take_best(std::vector<SweepSlot>& slots, const char* flow_name,
+                          double* eval_seconds) {
   PlacementResult best;
   double effort = 0.0;
+  double evaluation = 0.0;
   std::size_t winner = slots.size();
   double best_wl = std::numeric_limits<double>::max();
   for (std::size_t i = 0; i < slots.size(); ++i) {
     effort += slots[i].seconds;
+    evaluation += slots[i].eval_seconds;
     if (slots[i].metrics.wl_m < best_wl) {
       best_wl = slots[i].metrics.wl_m;
       winner = i;
@@ -44,6 +60,7 @@ PlacementResult take_best(std::vector<SweepSlot>& slots, const char* flow_name) 
   if (winner < slots.size()) best = std::move(slots[winner].result);
   best.runtime_seconds = effort;
   best.flow_name = flow_name;
+  if (eval_seconds != nullptr) *eval_seconds = evaluation;
   return best;
 }
 
@@ -76,19 +93,15 @@ PlacementResult run_indeda_flow(const Design& design, const PlacementContext& co
 }
 
 PlacementResult run_hidap_flow(const Design& design, const PlacementContext& context,
-                               const FlowOptions& options) {
+                               const FlowOptions& options, double* eval_seconds) {
   std::vector<SweepSlot> slots(std::size(HiDaPOptions::kLambdaSweep));
   parallel_for(
       slots.size(),
       [&](std::size_t i) {
-        const Timer task_timer;
         HiDaPOptions opts = options.hidap;  // copies the job state too
         opts.lambda = HiDaPOptions::kLambdaSweep[i];
         opts.job.seed = options.seed;
-        slots[i].result = place_macros(design, context, opts);
-        slots[i].metrics = evaluate_placement(design, context.ht, context.seq,
-                                              slots[i].result, options.eval);
-        slots[i].seconds = task_timer.seconds();
+        run_slot(slots[i], design, context, opts, options.eval);
         if (JobControl* control = options.hidap.job.control) {
           control->post_progress("hidap lambda=%.1f: WL=%.3f m (%.2fs)",
                                  HiDaPOptions::kLambdaSweep[i], slots[i].metrics.wl_m,
@@ -100,17 +113,16 @@ PlacementResult run_hidap_flow(const Design& design, const PlacementContext& con
     HIDAP_LOG_INFO("HiDaP lambda=%.1f: WL=%.3f m", HiDaPOptions::kLambdaSweep[i],
                    slots[i].metrics.wl_m);
   }
-  return take_best(slots, "HiDaP");
+  return take_best(slots, "HiDaP", eval_seconds);
 }
 
 PlacementResult run_handfp_flow(const Design& design, const PlacementContext& context,
-                                const FlowOptions& options) {
+                                const FlowOptions& options, double* eval_seconds) {
   constexpr std::size_t kLambdas = std::size(HiDaPOptions::kLambdaSweep);
   std::vector<SweepSlot> slots(static_cast<std::size_t>(options.handfp_seeds) * kLambdas);
   parallel_for(
       slots.size(),
       [&](std::size_t t) {
-        const Timer task_timer;
         const int s = static_cast<int>(t / kLambdas);
         HiDaPOptions opts = options.hidap;  // copies the job state too
         opts.lambda = HiDaPOptions::kLambdaSweep[t % kLambdas];
@@ -120,31 +132,36 @@ PlacementResult run_handfp_flow(const Design& design, const PlacementContext& co
             s == 0 ? options.seed
                    : options.seed * 7919 + static_cast<std::uint64_t>(s) * 104729 + 13;
         opts.scale_effort(options.handfp_effort);
-        slots[t].result = place_macros(design, context, opts);
-        slots[t].metrics = evaluate_placement(design, context.ht, context.seq,
-                                              slots[t].result, options.eval);
-        slots[t].seconds = task_timer.seconds();
+        run_slot(slots[t], design, context, opts, options.eval);
       },
       effective_thread_count(options.hidap.num_threads));
-  return take_best(slots, "handFP");
+  return take_best(slots, "handFP", eval_seconds);
 }
 
-FlowComparison compare_flows(const Design& design, const FlowOptions& options) {
-  const PlacementContext context(design, options.hidap.seq);
+FlowComparison compare_flows(const Design& design, const FlowOptions& flow_options) {
+  const PlacementContext context(design, flow_options.hidap.seq);
+  // Every evaluation of the comparison shares one clustering and one set
+  // of cluster links. A model passed in cannot match this function's own
+  // HierTree, so the comparison always builds its own.
+  FlowOptions options = flow_options;
+  options.eval.place.model = build_star_model(
+      design, context.ht, options.eval.place.resolved_target_clusters());
   FlowComparison cmp;
 
-  // The three flows only read the shared design/context; each task fills
-  // its own Metrics member. Inner sweeps nest on the same pool.
-  const auto run_into = [&](Metrics& out,
-                            PlacementResult (*flow)(const Design&, const PlacementContext&,
-                                                    const FlowOptions&)) {
+  // The three flows only read the shared design/context/model; each task
+  // fills its own Metrics member. Inner sweeps nest on the same pool.
+  const auto run_into = [&](Metrics& out, auto flow) {
     return [&out, &design, &context, &options, flow]() {
-      const PlacementResult result = flow(design, context, options);
+      double eval_seconds = 0.0;  // the flow's selection evaluations
+      const PlacementResult result = flow(design, context, options, &eval_seconds);
+      const Timer eval_timer;
       out = evaluate_placement(design, context.ht, context.seq, result, options.eval);
+      out.eval_s = eval_seconds + eval_timer.seconds();
     };
   };
-  parallel_invoke({run_into(cmp.indeda, run_indeda_flow),
-                   run_into(cmp.hidap, run_hidap_flow),
+  const auto indeda = [](const Design& d, const PlacementContext& c, const FlowOptions& o,
+                         double*) { return run_indeda_flow(d, c, o); };
+  parallel_invoke({run_into(cmp.indeda, indeda), run_into(cmp.hidap, run_hidap_flow),
                    run_into(cmp.handfp, run_handfp_flow)},
                   effective_thread_count(options.hidap.num_threads));
 

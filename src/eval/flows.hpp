@@ -27,12 +27,17 @@ PlacementResult run_indeda_flow(const Design& design, const PlacementContext& co
                                 const FlowOptions& options = {});
 
 /// Lambda sweep; selection by fully evaluated wirelength (paper: "best WL
-/// of three").
+/// of three"). The result's runtime_seconds sums the configurations'
+/// placement seconds; a non-null `eval_seconds` receives the seconds
+/// spent evaluating them.
 PlacementResult run_hidap_flow(const Design& design, const PlacementContext& context,
-                               const FlowOptions& options = {});
+                               const FlowOptions& options = {},
+                               double* eval_seconds = nullptr);
 
+/// Seed x lambda sweep at handfp_effort; timing as run_hidap_flow.
 PlacementResult run_handfp_flow(const Design& design, const PlacementContext& context,
-                                const FlowOptions& options = {});
+                                const FlowOptions& options = {},
+                                double* eval_seconds = nullptr);
 
 /// All three flows evaluated; wl_norm is filled relative to handFP
 /// (handFP = 1.000, like Table III).

@@ -2,6 +2,7 @@
 
 #include <unordered_map>
 
+#include "obs/metrics.hpp"
 #include "util/log.hpp"
 
 namespace hidap {
@@ -9,6 +10,8 @@ namespace hidap {
 Metrics evaluate_placement(const Design& design, const HierTree& ht,
                            const SeqGraph& seq, const PlacementResult& placement,
                            const EvalOptions& options) {
+  static obs::Counter& evaluations = obs::default_registry().counter("eval.evaluations");
+  evaluations.add(1);
   Metrics m;
   m.flow = placement.flow_name;
   m.runtime_s = placement.runtime_seconds;

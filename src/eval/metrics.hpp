@@ -29,7 +29,10 @@ struct Metrics {
   double grc_percent = 0.0;    ///< Table III "Cong. GRC%"
   double wns_percent = 0.0;    ///< Table III "WNS%"
   double tns_ns = 0.0;         ///< Table III "TNS"
-  double runtime_s = 0.0;      ///< flow effort
+  double runtime_s = 0.0;      ///< flow effort: placement seconds only
+  /// Evaluation seconds: the flow's selection evaluations plus its final
+  /// one (filled by compare_flows).
+  double eval_s = 0.0;
   double peak_density_near_macros = 0.0;  ///< Fig. 9 discussion metric
 };
 

@@ -1,6 +1,7 @@
 #include "netlist/verilog_parser.hpp"
 
 #include <algorithm>
+#include <cstdlib>
 #include <map>
 #include <optional>
 #include <string_view>
@@ -74,7 +75,7 @@ struct Token {
 
 class Parser {
  public:
-  explicit Parser(std::string_view text) : in_(text) { advance(); }
+  explicit Parser(std::string_view text) : in_(text), text_bytes_(text.size()) { advance(); }
 
   std::vector<ModuleDef> parse_all() {
     std::vector<ModuleDef> modules;
@@ -217,6 +218,14 @@ class Parser {
       proto.msb = expect_number<int>();
       expect_punct(':');
       proto.lsb = expect_number<int>();
+      // Elaboration creates one net per declared bit; a width beyond the
+      // input's byte count could only exhaust memory.
+      const long long width =
+          std::llabs(static_cast<long long>(proto.msb) - proto.lsb) + 1;
+      if (proto.msb >= 0 && width > static_cast<long long>(text_bytes_)) {
+        fail("vector width " + std::to_string(width) + " exceeds the input size (" +
+             std::to_string(text_bytes_) + " bytes)");
+      }
       expect_punct(']');
     }
     while (true) {
@@ -311,6 +320,7 @@ class Parser {
   }
 
   TextCursor in_;
+  std::size_t text_bytes_;  ///< the bound on a declared vector width
   Token tok_;
   std::vector<MacroDef> macro_defs_;
   Die die_;

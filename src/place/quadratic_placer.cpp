@@ -2,20 +2,30 @@
 
 #include <algorithm>
 #include <cmath>
-
-#include "util/log.hpp"
+#include <cstdint>
 
 namespace hidap {
 
 PlacedDesign::PlacedDesign(const Design& design, const HierTree& ht,
-                           const PlacementResult& macros, Clustering clustering, Rect die)
+                           const PlacementResult& macros,
+                           std::shared_ptr<const Clustering> clustering, Rect die)
     : design_(&design), ht_(&ht), clustering_(std::move(clustering)), die_(die) {
-  macros_ = macros.macros;
   macro_index_.assign(design.cell_count(), -1);
+  const std::vector<MacroPlacement>& listed = macros.macros;
+  for (std::size_t i = 0; i < listed.size(); ++i) {
+    macro_index_[static_cast<std::size_t>(listed[i].cell)] = static_cast<int>(i);
+  }
+  for (std::size_t i = 0; i < listed.size(); ++i) {
+    if (macro_index_[static_cast<std::size_t>(listed[i].cell)] == static_cast<int>(i)) {
+      macros_.push_back(listed[i]);
+    }
+  }
+  std::sort(macros_.begin(), macros_.end(),
+            [](const MacroPlacement& a, const MacroPlacement& b) { return a.cell < b.cell; });
   for (std::size_t i = 0; i < macros_.size(); ++i) {
     macro_index_[static_cast<std::size_t>(macros_[i].cell)] = static_cast<int>(i);
   }
-  cluster_pos_.assign(clustering_.clusters.size(), die_.center());
+  cluster_pos_.assign(clustering_->clusters.size(), die_.center());
 }
 
 const MacroPlacement* PlacedDesign::macro_of(CellId cell) const {
@@ -27,7 +37,7 @@ Point PlacedDesign::cell_position(CellId cell) const {
   const Cell& c = design_->cell(cell);
   if (const MacroPlacement* m = macro_of(cell)) return m->rect.center();
   if (c.fixed_pos) return *c.fixed_pos;
-  const int cl = clustering_.cluster_of[static_cast<std::size_t>(cell)];
+  const int cl = clustering_->cluster_of[static_cast<std::size_t>(cell)];
   if (cl >= 0) return cluster_pos_[static_cast<std::size_t>(cl)];
   return die_.center();
 }
@@ -45,83 +55,25 @@ Point PlacedDesign::pin_position(const NetPin& pin) const {
 
 namespace {
 
-// Connections of the cluster-level star model: cluster <-> cluster and
-// cluster <-> fixed point, each with an accumulated weight.
-struct ClusterSystem {
-  struct Link {
-    int other;  ///< cluster index, or -1 for fixed
-    Point fixed;
-    double weight;
-  };
-  std::vector<std::vector<Link>> links;  // per cluster
-};
-
-ClusterSystem build_system(const Design& design, const PlacedDesign& placed) {
-  const Clustering& clustering = placed.clustering();
-  ClusterSystem sys;
-  sys.links.resize(clustering.clusters.size());
-
-  const auto endpoint_cluster = [&](CellId cell) {
-    return clustering.cluster_of[static_cast<std::size_t>(cell)];
-  };
-
-  for (std::size_t n = 0; n < design.net_count(); ++n) {
-    const Net& net = design.net(static_cast<NetId>(n));
-    // Collect distinct endpoints of the net at cluster granularity.
-    // Small nets dominate; a flat scan is fine.
-    std::vector<std::pair<int, Point>> ends;  // (cluster or -1, fixed pos)
-    auto add_end = [&](const NetPin& p) {
-      const int cl = endpoint_cluster(p.cell);
-      if (cl >= 0) {
-        for (const auto& [c, pos] : ends) {
-          if (c == cl) return;
-        }
-        ends.emplace_back(cl, Point{});
-      } else {
-        ends.emplace_back(-1, placed.pin_position(p));
-      }
-    };
-    if (net.driver.cell != kInvalidId) add_end(net.driver);
-    for (const NetPin& p : net.sinks) add_end(p);
-    if (ends.size() < 2) continue;
-    // Clique model with 1/(p-1) weighting.
-    const double w = 1.0 / static_cast<double>(ends.size() - 1);
-    for (std::size_t i = 0; i < ends.size(); ++i) {
-      for (std::size_t j = i + 1; j < ends.size(); ++j) {
-        const auto& [ci, pi] = ends[i];
-        const auto& [cj, pj] = ends[j];
-        if (ci < 0 && cj < 0) continue;  // fixed-fixed: constant
-        if (ci >= 0 && cj >= 0) {
-          sys.links[static_cast<std::size_t>(ci)].push_back({cj, {}, w});
-          sys.links[static_cast<std::size_t>(cj)].push_back({ci, {}, w});
-        } else if (ci >= 0) {
-          sys.links[static_cast<std::size_t>(ci)].push_back({-1, pj, w});
-        } else {
-          sys.links[static_cast<std::size_t>(cj)].push_back({-1, pi, w});
-        }
-      }
-    }
-  }
-  return sys;
-}
-
-// Gauss-Seidel sweeps on the star model. When `anchors` is non-null each
-// cluster is additionally pulled toward anchors[i] with a weight that is
-// `anchor_strength` times its own connectivity weight (the SimPL-style
-// legalization pull).
-void solve_gauss_seidel(const ClusterSystem& sys, std::vector<Point>& pos,
-                        const Rect& die, int iterations,
+// Gauss-Seidel sweeps on the star model; `fixed` holds the positions of
+// the model's fixed endpoints under this placement. When `anchors` is
+// non-null each cluster is additionally pulled toward anchors[i] with a
+// weight that is `anchor_strength` times its own connectivity weight (the
+// SimPL-style legalization pull).
+void solve_gauss_seidel(const StarModel& model, const std::vector<Point>& fixed,
+                        std::vector<Point>& pos, const Rect& die, int iterations,
                         const std::vector<Point>* anchors = nullptr,
                         double anchor_strength = 0.0) {
   for (int it = 0; it < iterations; ++it) {
     for (std::size_t i = 0; i < pos.size(); ++i) {
       double wx = 0.0, wy = 0.0, wsum = 0.0;
-      for (const auto& link : sys.links[i]) {
-        const Point p = link.other >= 0 ? pos[static_cast<std::size_t>(link.other)]
-                                        : link.fixed;
-        wx += link.weight * p.x;
-        wy += link.weight * p.y;
-        wsum += link.weight;
+      for (std::uint32_t e = model.start[i]; e < model.start[i + 1]; ++e) {
+        const std::int32_t other = model.other[e];
+        const Point p = other >= 0 ? pos[static_cast<std::size_t>(other)]
+                                   : fixed[static_cast<std::size_t>(-1 - other)];
+        wx += model.weight[e] * p.x;
+        wy += model.weight[e] * p.y;
+        wsum += model.weight[e];
       }
       if (anchors && wsum > 0) {
         const double aw = anchor_strength * wsum;
@@ -136,28 +88,34 @@ void solve_gauss_seidel(const ClusterSystem& sys, std::vector<Point>& pos,
   }
 }
 
-// Grid spreading: clusters leave overfull bins for the least-full
-// neighbor, iterated; capacity excludes macro-covered area.
-void spread_clusters(const PlacedDesign& placed, std::vector<Point>& pos,
-                     const PlaceOptions& options) {
+// Spreading-bin capacity: the usable fraction of each bin's area that no
+// placed macro covers.
+std::vector<double> bin_capacity(const PlacedDesign& placed, const PlaceOptions& options) {
   const Rect die = placed.die();
   const int g = options.grid;
   const double bw = die.w / g, bh = die.h / g;
-
   std::vector<double> capacity(static_cast<std::size_t>(g) * g, 0.0);
   for (int by = 0; by < g; ++by) {
     for (int bx = 0; bx < g; ++bx) {
       const Rect bin{die.x + bx * bw, die.y + by * bh, bw, bh};
       double blocked = 0.0;
-      for (const CellId m : placed.design().macros()) {
-        if (const MacroPlacement* mp = placed.macro_of(m)) {
-          blocked += bin.overlap_area(mp->rect);
-        }
+      for (const MacroPlacement& mp : placed.placed_macros()) {
+        blocked += bin.overlap_area(mp.rect);
       }
       capacity[static_cast<std::size_t>(by) * g + bx] =
           std::max(0.0, (bin.area() - blocked) * options.bin_capacity_ratio);
     }
   }
+  return capacity;
+}
+
+// Grid spreading: clusters leave overfull bins for the least-full
+// neighbor, iterated; `capacity` comes from bin_capacity.
+void spread_clusters(const PlacedDesign& placed, const std::vector<double>& capacity,
+                     std::vector<Point>& pos, const PlaceOptions& options) {
+  const Rect die = placed.die();
+  const int g = options.grid;
+  const double bw = die.w / g, bh = die.h / g;
 
   const auto bin_of = [&](const Point& p) {
     const int bx = std::clamp(static_cast<int>((p.x - die.x) / bw), 0, g - 1);
@@ -280,24 +238,35 @@ void spread_clusters(const PlacedDesign& placed, std::vector<Point>& pos,
 
 PlacedDesign place_cells(const Design& design, const HierTree& ht,
                          const PlacementResult& macros, const PlaceOptions& options) {
-  const int target = options.target_clusters > 0 ? options.target_clusters
-                                                 : 3 * options.grid * options.grid;
-  Clustering clustering = cluster_cells(design, ht, target);
+  const int target = options.resolved_target_clusters();
+  std::shared_ptr<const StarModel> model = options.model;
+  if (model) {
+    model->check_matches(design, ht, target);
+  } else {
+    model = build_star_model(design, ht, target);
+  }
   const Rect die{0, 0, design.die().w, design.die().h};
-  PlacedDesign placed(design, ht, macros, std::move(clustering), die);
+  PlacedDesign placed(design, ht, macros, model->clustering, die);
 
-  const ClusterSystem sys = build_system(design, placed);
+  // Only the fixed endpoints and the bin capacities depend on the macros.
+  std::vector<Point> fixed(model->fixed_pin.size());
+  for (std::size_t k = 0; k < fixed.size(); ++k) {
+    fixed[k] = placed.pin_position(model->fixed_pin[k]);
+  }
+  const std::vector<double> capacity = bin_capacity(placed, options);
+
   std::vector<Point>& pos = placed.cluster_positions();
-  solve_gauss_seidel(sys, pos, die, options.solver_iterations);
+  solve_gauss_seidel(*model, fixed, pos, die, options.solver_iterations);
   // SimPL-style loop: legalize, then re-solve with a pull toward the
   // legal slots; the interleave preserves connectivity order far better
   // than a single destructive spreading pass.
   for (const double strength : {0.25, 0.6}) {
     std::vector<Point> legal = pos;
-    spread_clusters(placed, legal, options);
-    solve_gauss_seidel(sys, pos, die, options.solver_iterations / 2, &legal, strength);
+    spread_clusters(placed, capacity, legal, options);
+    solve_gauss_seidel(*model, fixed, pos, die, options.solver_iterations / 2, &legal,
+                       strength);
   }
-  spread_clusters(placed, pos, options);
+  spread_clusters(placed, capacity, pos, options);
   return placed;
 }
 

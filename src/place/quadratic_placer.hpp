@@ -7,7 +7,13 @@
 // whose capacity excludes macro-covered area. The result is the
 // PlacedDesign every downstream metric (HPWL, congestion, timing,
 // density) reads positions from.
+//
+// The design-only inputs -- the clustering and the cluster links -- form
+// a StarModel (place/star_model.hpp). Pass one through
+// PlaceOptions::model to share it across the placements of one design;
+// without one, place_cells builds its own.
 
+#include <memory>
 #include <vector>
 
 #include "core/result.hpp"
@@ -15,6 +21,7 @@
 #include "hier/hier_tree.hpp"
 #include "netlist/netlist.hpp"
 #include "place/clustering.hpp"
+#include "place/star_model.hpp"
 
 namespace hidap {
 
@@ -26,16 +33,26 @@ struct PlaceOptions {
   int grid = 32;              ///< spreading grid resolution
   int spreading_rounds = 200;
   double bin_capacity_ratio = 0.9;  ///< usable fraction of free bin area
+  /// Cache handle, not a knob: a model from build_star_model for the same
+  /// design, hierarchy and resolved_target_clusters() (anything else is a
+  /// HidapError). Null builds one per call; results are identical.
+  std::shared_ptr<const StarModel> model;
+
+  /// The cluster target actually used (target_clusters, or the automatic
+  /// one when that is <= 0).
+  int resolved_target_clusters() const {
+    return target_clusters > 0 ? target_clusters : 3 * grid * grid;
+  }
 };
 
 class PlacedDesign {
  public:
   PlacedDesign(const Design& design, const HierTree& ht, const PlacementResult& macros,
-               Clustering clustering, Rect die);
+               std::shared_ptr<const Clustering> clustering, Rect die);
 
   const Design& design() const { return *design_; }
   const Rect& die() const { return die_; }
-  const Clustering& clustering() const { return clustering_; }
+  const Clustering& clustering() const { return *clustering_; }
   const std::vector<Point>& cluster_positions() const { return cluster_pos_; }
   std::vector<Point>& cluster_positions() { return cluster_pos_; }
 
@@ -45,11 +62,14 @@ class PlacedDesign {
   Point pin_position(const NetPin& pin) const;
   /// Placed macro footprint lookup (nullptr when the cell is not a macro).
   const MacroPlacement* macro_of(CellId cell) const;
+  /// The placed macros, one per cell (a cell listed twice keeps its last
+  /// entry), in ascending cell id.
+  const std::vector<MacroPlacement>& placed_macros() const { return macros_; }
 
  private:
   const Design* design_;
   const HierTree* ht_;
-  Clustering clustering_;
+  std::shared_ptr<const Clustering> clustering_;
   std::vector<Point> cluster_pos_;
   std::vector<int> macro_index_;  ///< per cell: index into macros_, -1 otherwise
   std::vector<MacroPlacement> macros_;

@@ -225,6 +225,24 @@ TEST(ParserRobustness, HugeTokenHandled) {
   EXPECT_EQ(d.cell(0).name.size(), 5000u);
 }
 
+TEST(ParserRobustness, HostileVectorWidthRejected) {
+  // Each bit of a declared vector becomes a net: a width beyond the input
+  // size is refused before any net exists.
+  for (const char* decl :
+       {"wire [2147483647:0] w;", "wire [0:2147483647] w;", "input [5:-2147483647] w;"}) {
+    try {
+      parse_verilog_string(std::string("module top ();\n  ") + decl + "\nendmodule\n");
+      ADD_FAILURE() << decl << ": accepted";
+    } catch (const VerilogParseError& e) {
+      EXPECT_EQ(e.code(), ErrorCode::ParseError) << decl;
+      EXPECT_EQ(e.line(), 2) << decl;
+      EXPECT_NE(std::string(e.what()).find("vector width"), std::string::npos) << e.what();
+    }
+  }
+  const Design d = parse_verilog_string("module top ();\n  wire [7:0] w;\nendmodule\n");
+  EXPECT_EQ(d.net_count(), 8u);
+}
+
 TEST(ParserRobustness, GarbageRejected) {
   expect_parse_or_clean_error("%%%###!!!");
   expect_parse_or_clean_error("module module module");

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "geometry/shape_curve.hpp"
+#include "shape_curve_oracle.hpp"
 #include "util/rng.hpp"
 
 namespace hidap {
@@ -211,9 +212,9 @@ TEST(ShapeCurveDifferential, SweepComposeMatchesPairwiseOracleBitForBit) {
     const ShapeCurve v = ShapeCurve::compose_vertical(a, b);
     ASSERT_TRUE(is_pareto_sorted(h));
     ASSERT_TRUE(is_pareto_sorted(v));
-    ASSERT_TRUE(curves_bit_equal(h, ShapeCurve::compose_horizontal_pairwise(a, b)))
+    ASSERT_TRUE(curves_bit_equal(h, oracle::compose_horizontal_pairwise(a, b)))
         << "horizontal, trial " << trial;
-    ASSERT_TRUE(curves_bit_equal(v, ShapeCurve::compose_vertical_pairwise(a, b)))
+    ASSERT_TRUE(curves_bit_equal(v, oracle::compose_vertical_pairwise(a, b)))
         << "vertical, trial " << trial;
   }
 }
@@ -230,9 +231,9 @@ TEST(ShapeCurveDifferential, SweepComposeTieHeightsAcrossCurves) {
   b.add({5, 3});
   for (auto [sweep, pairwise] :
        {std::pair{ShapeCurve::compose_horizontal(a, b),
-                  ShapeCurve::compose_horizontal_pairwise(a, b)},
+                  oracle::compose_horizontal_pairwise(a, b)},
         std::pair{ShapeCurve::compose_vertical(a, b),
-                  ShapeCurve::compose_vertical_pairwise(a, b)}}) {
+                  oracle::compose_vertical_pairwise(a, b)}}) {
     EXPECT_TRUE(curves_bit_equal(sweep, pairwise));
   }
 }
@@ -246,7 +247,7 @@ TEST(ShapeCurveDifferential, SweepComposeRoundingCollisionKeepsLowerPoint) {
   a.add({1.0 + 0x1p-52, 5.0});
   const ShapeCurve b = ShapeCurve::for_rect(0x1p54, 1.0, /*rotate=*/false);
   const ShapeCurve sweep = ShapeCurve::compose_horizontal(a, b);
-  ASSERT_TRUE(curves_bit_equal(sweep, ShapeCurve::compose_horizontal_pairwise(a, b)));
+  ASSERT_TRUE(curves_bit_equal(sweep, oracle::compose_horizontal_pairwise(a, b)));
   ASSERT_EQ(sweep.points().size(), 1u);
   EXPECT_EQ(sweep.points()[0], (Shape{0x1p54, 5.0}));
 
@@ -256,7 +257,7 @@ TEST(ShapeCurveDifferential, SweepComposeRoundingCollisionKeepsLowerPoint) {
   c.add({10.0, 1.0});
   const ShapeCurve d = ShapeCurve::for_rect(1.0, 0x1p54, /*rotate=*/false);
   const ShapeCurve vsweep = ShapeCurve::compose_vertical(c, d);
-  ASSERT_TRUE(curves_bit_equal(vsweep, ShapeCurve::compose_vertical_pairwise(c, d)));
+  ASSERT_TRUE(curves_bit_equal(vsweep, oracle::compose_vertical_pairwise(c, d)));
   ASSERT_EQ(vsweep.points().size(), 1u);
 }
 
