@@ -22,11 +22,11 @@ MacroDefId MacroLibrary::add(MacroDef def) {
 }
 
 bool MacroLibrary::contains(std::string_view name) const {
-  return by_name_.find(std::string(name)) != by_name_.end();
+  return by_name_.contains(name);
 }
 
 MacroDefId MacroLibrary::id_of(std::string_view name) const {
-  const auto it = by_name_.find(std::string(name));
+  const auto it = by_name_.find(name);
   return it == by_name_.end() ? kNoMacroDef : it->second;
 }
 

@@ -6,7 +6,9 @@
 // from the dataflow seen by each macro *side*.
 
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -50,8 +52,16 @@ class MacroLibrary {
   static MacroDef make_sram(std::string name, double w, double h, int bits);
 
  private:
+  /// Transparent hash: lookups by string_view allocate nothing.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+
   std::vector<MacroDef> defs_;
-  std::unordered_map<std::string, MacroDefId> by_name_;
+  std::unordered_map<std::string, MacroDefId, NameHash, std::equal_to<>> by_name_;
 };
 
 }  // namespace hidap

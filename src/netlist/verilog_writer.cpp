@@ -1,16 +1,12 @@
 #include "netlist/verilog_writer.hpp"
 
 #include <cctype>
-#include <cmath>
+#include <charconv>
 #include <fstream>
-#include <iomanip>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
-
-#include "util/log.hpp"
 
 namespace hidap {
 
@@ -23,24 +19,6 @@ struct ModulePlan {
   std::vector<std::pair<NetId, PortDir>> ports;  // nets crossing the boundary
   std::vector<NetId> wires;                      // nets declared here (LCA)
 };
-
-// Identifier-safe local name for a net inside any module.
-std::string net_token(NetId id) { return "n" + std::to_string(id); }
-
-std::string sanitize(const std::string& name) {
-  std::string out;
-  out.reserve(name.size());
-  for (char c : name) {
-    out.push_back((std::isalnum(static_cast<unsigned char>(c)) || c == '_') ? c : '_');
-  }
-  if (out.empty() || std::isdigit(static_cast<unsigned char>(out[0]))) out.insert(out.begin(), '_');
-  return out;
-}
-
-std::string module_name(const Design& d, HierId h) {
-  if (h == d.root()) return sanitize(d.name());
-  return sanitize(d.hier(h).name) + "_h" + std::to_string(h);
-}
 
 int depth_of(const Design& d, HierId h) {
   int depth = 0;
@@ -112,7 +90,7 @@ std::vector<ModulePlan> plan_modules(const Design& d) {
 // Pin name of a macro connection recovered from its geometric offset.
 // NetPin stores offsets as float, MacroDef as double: match the nearest
 // pin within a loose micron tolerance (pin pitches are far larger).
-std::string macro_pin_name(const MacroDef& def, float dx, float dy) {
+std::string_view macro_pin_name(const MacroDef& def, float dx, float dy) {
   const MacroPin* best = nullptr;
   double best_d2 = 1e-2;  // 0.1 um in each axis, squared
   for (const MacroPin& p : def.pins) {
@@ -124,10 +102,74 @@ std::string macro_pin_name(const MacroDef& def, float dx, float dy) {
       best = &p;
     }
   }
-  return best ? best->name : "PIN";
+  return best ? std::string_view(best->name) : "PIN";
 }
 
-void write_macro_header(const Design& d, std::ostream& out) {
+// Identifier-safe local name for a net, the same inside any module.
+struct NetToken {
+  NetId id;
+};
+NetToken net_token(NetId id) { return {id}; }
+
+// `name` with every byte that is not alphanumeric or '_' replaced by
+// '_', and a '_' in front when it would be empty or start with a digit.
+struct Sanitized {
+  std::string_view name;
+};
+Sanitized sanitize(std::string_view name) { return {name}; }
+
+struct ModuleName {
+  const Design& design;
+  HierId hier;
+};
+ModuleName module_name(const Design& d, HierId h) { return {d, h}; }
+
+// The whole netlist text, built in memory and written with one call.
+// Numbers print as an ostream at setprecision(12) prints them: doubles
+// as %.12g, so geometry survives the round trip.
+class TextBuffer {
+ public:
+  TextBuffer& operator<<(std::string_view s) {
+    text_.append(s);
+    return *this;
+  }
+  TextBuffer& operator<<(char c) {
+    text_.push_back(c);
+    return *this;
+  }
+  TextBuffer& operator<<(int v) { return append_chars(v); }
+  TextBuffer& operator<<(double v) { return append_chars(v, std::chars_format::general, 12); }
+  TextBuffer& operator<<(NetToken net) { return *this << 'n' << net.id; }
+  TextBuffer& operator<<(Sanitized s) {
+    if (s.name.empty() || std::isdigit(static_cast<unsigned char>(s.name[0]))) {
+      text_.push_back('_');
+    }
+    for (const char c : s.name) {
+      text_.push_back((std::isalnum(static_cast<unsigned char>(c)) || c == '_') ? c : '_');
+    }
+    return *this;
+  }
+  TextBuffer& operator<<(ModuleName m) {
+    if (m.hier == m.design.root()) return *this << sanitize(m.design.name());
+    return *this << sanitize(m.design.hier(m.hier).name) << "_h" << m.hier;
+  }
+
+  void write_to(std::ostream& out) const {
+    out.write(text_.data(), static_cast<std::streamsize>(text_.size()));
+  }
+
+ private:
+  template <typename T, typename... Format>
+  TextBuffer& append_chars(T v, Format... format) {
+    char chars[32];
+    text_.append(chars, std::to_chars(chars, chars + sizeof(chars), v, format...).ptr);
+    return *this;
+  }
+
+  std::string text_;
+};
+
+void write_macro_header(const Design& d, TextBuffer& out) {
   // Macro definitions ride along as structured comments the parser reads
   // back, keeping a netlist file self-contained.
   for (const MacroDef& def : d.library().defs()) {
@@ -143,44 +185,39 @@ void write_macro_header(const Design& d, std::ostream& out) {
 }  // namespace
 
 void write_verilog(const Design& design, std::ostream& out) {
-  out << std::setprecision(12);  // geometry must survive the round trip
   const std::vector<ModulePlan> plans = plan_modules(design);
 
-  // Per-cell connection lists (pin label + net), built in one sweep.
+  // Per-cell connection lists (pin label + net), built in one sweep. A
+  // macro pin is labelled by its name, any other pin by a letter and a
+  // per-cell index ("I0", "Q3").
   struct CellConn {
-    std::string pin;
+    std::string_view pin;  ///< macro pin name, or the letter
+    int index;             ///< -1 for macro pins
     NetId net;
   };
   std::vector<std::vector<CellConn>> conns(design.cell_count());
   std::vector<int> in_count(design.cell_count(), 0), out_count(design.cell_count(), 0);
   for (std::size_t n = 0; n < design.net_count(); ++n) {
     const Net& net = design.net(static_cast<NetId>(n));
-    auto label = [&](const NetPin& p, bool driver) {
+    auto connect = [&](const NetPin& p, bool driver) {
+      const auto cell = static_cast<std::size_t>(p.cell);
       const Cell& c = design.cell(p.cell);
-      switch (c.kind) {
-        case CellKind::Macro:
-          return macro_pin_name(design.macro_def_of(p.cell), p.dx, p.dy);
-        case CellKind::Flop:
-          return std::string(driver ? "Q" : "D") +
-                 std::to_string(driver ? out_count[static_cast<std::size_t>(p.cell)]++
-                                       : in_count[static_cast<std::size_t>(p.cell)]++);
-        default:
-          return std::string(driver ? "O" : "I") +
-                 std::to_string(driver ? out_count[static_cast<std::size_t>(p.cell)]++
-                                       : in_count[static_cast<std::size_t>(p.cell)]++);
+      CellConn conn{{}, -1, static_cast<NetId>(n)};
+      if (c.kind == CellKind::Macro) {
+        conn.pin = macro_pin_name(design.macro_def_of(p.cell), p.dx, p.dy);
+      } else {
+        const bool flop = c.kind == CellKind::Flop;
+        conn.pin = driver ? (flop ? "Q" : "O") : (flop ? "D" : "I");
+        conn.index = driver ? out_count[cell]++ : in_count[cell]++;
       }
+      conns[cell].push_back(conn);
     };
-    if (net.driver.cell != kInvalidId) {
-      conns[static_cast<std::size_t>(net.driver.cell)].push_back(
-          {label(net.driver, true), static_cast<NetId>(n)});
-    }
-    for (const NetPin& p : net.sinks) {
-      conns[static_cast<std::size_t>(p.cell)].push_back(
-          {label(p, false), static_cast<NetId>(n)});
-    }
+    if (net.driver.cell != kInvalidId) connect(net.driver, true);
+    for (const NetPin& p : net.sinks) connect(p, false);
   }
 
-  write_macro_header(design, out);
+  TextBuffer text;
+  write_macro_header(design, text);
 
   // Emit child modules before parents (post-order) so the file parses in
   // one pass even though our parser does not require it.
@@ -195,60 +232,63 @@ void write_verilog(const Design& design, std::ostream& out) {
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     const HierId h = *it;
     const ModulePlan& plan = plans[static_cast<std::size_t>(h)];
-    out << "module " << module_name(design, h) << " (";
+    text << "module " << module_name(design, h) << " (";
     for (std::size_t i = 0; i < plan.ports.size(); ++i) {
-      out << (i ? ", " : "") << net_token(plan.ports[i].first);
+      text << (i ? ", " : "") << net_token(plan.ports[i].first);
     }
-    out << ");\n";
+    text << ");\n";
     for (const auto& [net, dir] : plan.ports) {
-      out << "  " << (dir == PortDir::Out ? "output" : "input") << ' '
-          << net_token(net) << ";\n";
+      text << "  " << (dir == PortDir::Out ? "output" : "input") << ' ' << net_token(net)
+           << ";\n";
     }
-    for (const NetId net : plan.wires) out << "  wire " << net_token(net) << ";\n";
+    for (const NetId net : plan.wires) text << "  wire " << net_token(net) << ";\n";
 
     // Leaf cells.
     for (const CellId cid : design.hier(h).cells) {
       const Cell& c = design.cell(cid);
       switch (c.kind) {
         case CellKind::Macro:
-          out << "  " << sanitize(design.macro_def_of(cid).name);
+          text << "  " << sanitize(design.macro_def_of(cid).name);
           break;
         case CellKind::Flop:
-          out << "  HIDAP_DFF #(.AREA(" << c.area << "))";
+          text << "  HIDAP_DFF #(.AREA(" << c.area << "))";
           break;
         case CellKind::Comb:
-          out << "  HIDAP_COMB #(.AREA(" << c.area << "))";
+          text << "  HIDAP_COMB #(.AREA(" << c.area << "))";
           break;
         case CellKind::PortIn:
-          out << "  HIDAP_PIN_IN #(.X(" << (c.fixed_pos ? c.fixed_pos->x : 0.0) << "), .Y("
-              << (c.fixed_pos ? c.fixed_pos->y : 0.0) << "))";
+          text << "  HIDAP_PIN_IN #(.X(" << (c.fixed_pos ? c.fixed_pos->x : 0.0) << "), .Y("
+               << (c.fixed_pos ? c.fixed_pos->y : 0.0) << "))";
           break;
         case CellKind::PortOut:
-          out << "  HIDAP_PIN_OUT #(.X(" << (c.fixed_pos ? c.fixed_pos->x : 0.0)
-              << "), .Y(" << (c.fixed_pos ? c.fixed_pos->y : 0.0) << "))";
+          text << "  HIDAP_PIN_OUT #(.X(" << (c.fixed_pos ? c.fixed_pos->x : 0.0)
+               << "), .Y(" << (c.fixed_pos ? c.fixed_pos->y : 0.0) << "))";
           break;
       }
-      out << ' ' << sanitize(c.name) << " (";
+      text << ' ' << sanitize(c.name) << " (";
       const auto& cc = conns[static_cast<std::size_t>(cid)];
       for (std::size_t i = 0; i < cc.size(); ++i) {
-        out << (i ? ", " : "") << '.' << cc[i].pin << '(' << net_token(cc[i].net) << ')';
+        text << (i ? ", " : "") << '.' << cc[i].pin;
+        if (cc[i].index >= 0) text << cc[i].index;
+        text << '(' << net_token(cc[i].net) << ')';
       }
-      out << ");\n";
+      text << ");\n";
     }
 
     // Child instances.
     for (const HierId child : design.hier(h).children) {
       const ModulePlan& cplan = plans[static_cast<std::size_t>(child)];
-      out << "  " << module_name(design, child) << ' '
-          << sanitize(design.hier(child).name) << " (";
+      text << "  " << module_name(design, child) << ' ' << sanitize(design.hier(child).name)
+           << " (";
       for (std::size_t i = 0; i < cplan.ports.size(); ++i) {
-        out << (i ? ", " : "") << '.' << net_token(cplan.ports[i].first) << '('
-            << net_token(cplan.ports[i].first) << ')';
+        text << (i ? ", " : "") << '.' << net_token(cplan.ports[i].first) << '('
+             << net_token(cplan.ports[i].first) << ')';
       }
-      out << ");\n";
+      text << ");\n";
     }
-    out << "endmodule\n\n";
+    text << "endmodule\n\n";
   }
+  text.write_to(out);
 }
 
 void write_verilog_file(const Design& design, const std::string& path) {

@@ -145,7 +145,10 @@ ArtifactCache::Stats ArtifactCache::stats() const {
 }
 
 std::uint64_t ArtifactCache::design_key(std::string_view verilog_text) {
-  return HashBuilder(0x6431).str(verilog_text).digest();
+  return HashBuilder(0x6431)
+      .u64(verilog_text.size())
+      .u64(xxh64(verilog_text.data(), verilog_text.size()))
+      .digest();
 }
 
 std::uint64_t ArtifactCache::context_key(std::uint64_t design_key,

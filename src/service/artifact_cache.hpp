@@ -6,7 +6,7 @@
 // cached artifact is byte-identical to recomputing it and adoption
 // cannot change results:
 //
-//   design          <- verilog text
+//   design          <- verilog text (its length and XXH64)
 //   context         <- design key + Gseq extraction options
 //   shape curves    <- context key + job seed + halo + shape-SA options
 //   recursion plan  <- context key + area fractions + preplaced cells

@@ -5,6 +5,7 @@
 // into it and tracks the 1-based line. Text becomes numbers through
 // parse_number only: whole-token, locale-free and range-checked.
 
+#include <cassert>
 #include <cerrno>
 #include <charconv>
 #include <cmath>
@@ -18,11 +19,11 @@ namespace hidap {
 
 /// ASCII character classes, independent of the global C locale.
 namespace ascii {
-inline bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
-inline bool is_digit(char c) { return c >= '0' && c <= '9'; }
-inline bool is_alpha(char c) { return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z'); }
+constexpr bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+constexpr bool is_digit(char c) { return c >= '0' && c <= '9'; }
+constexpr bool is_alpha(char c) { return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z'); }
 /// Bytes of a decimal or scientific number literal ("-1.5e+3").
-inline bool is_number_char(char c) {
+constexpr bool is_number_char(char c) {
   return is_digit(c) || c == '.' || c == 'e' || c == 'E' || c == '-' || c == '+';
 }
 }  // namespace ascii
@@ -59,6 +60,17 @@ class TextCursor {
       if (text_[pos_] == '\n') ++line_;
       ++pos_;
     }
+    return text_.substr(start, pos_ - start);
+  }
+
+  /// take_while for a `pred` that rejects '\n' (identifier and number
+  /// runs): such a run never ends a line, so it skips the per-byte line
+  /// check.
+  template <typename Pred>
+  std::string_view take_within_line(Pred pred) {
+    assert(!pred('\n'));
+    const std::size_t start = pos_;
+    while (pos_ < text_.size() && pred(text_[pos_])) ++pos_;
     return text_.substr(start, pos_ - start);
   }
 

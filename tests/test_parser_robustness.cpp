@@ -12,27 +12,28 @@
 #include <sstream>
 
 #include "core/hidap.hpp"
-#include "gen/circuit_gen.hpp"
+#include "fuzz_corpus.hpp"
 #include "netlist/bookshelf.hpp"
 #include "netlist/def_io.hpp"
 #include "netlist/verilog_parser.hpp"
 #include "netlist/verilog_writer.hpp"
 #include "service/json.hpp"
 #include "util/log.hpp"
-#include "util/rng.hpp"
 #include "util/text_cursor.hpp"
 
 namespace hidap {
 namespace {
 
-constexpr double kTruncations[] = {0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99};
+using fuzz::kTruncations;
+using fuzz::mutated;
+using fuzz::truncated;
 
 // One small generated design, its netlist and a placement of it.
 struct Sample {
   Design design;
   std::string verilog;
   PlacementResult placement;
-  Sample() : design(make()) {
+  Sample() : design(fuzz::sample_design()) {
     std::ostringstream out;
     write_verilog(design, out);
     verilog = out.str();
@@ -41,15 +42,6 @@ struct Sample {
     o.layout_anneal.moves_per_temperature = 20;
     o.shape_fp.anneal.moves_per_temperature = 20;
     placement = place_macros(design, o);
-  }
-  static Design make() {
-    CircuitSpec spec;
-    spec.name = "fuzz";
-    spec.target_cells = 300;
-    spec.macro_count = 2;
-    spec.subsystems = 1;
-    spec.bus_width = 8;
-    return generate_circuit(spec);
   }
 };
 
@@ -64,20 +56,6 @@ std::string sample_def() {
   std::ostringstream out;
   write_def(sample().design, sample().placement, out);
   return out.str();
-}
-
-std::string truncated(const std::string& text, double frac) {
-  return text.substr(0, static_cast<std::size_t>(text.size() * frac));
-}
-
-// Overwrites `count` seeded positions with random printable bytes.
-std::string mutated(std::string text, std::uint64_t seed, int count = 12) {
-  Rng rng(seed * 2654435761ULL + 17);
-  for (int m = 0; m < count && !text.empty(); ++m) {
-    const std::size_t at = rng.next_below(text.size());
-    text[at] = static_cast<char>(' ' + rng.next_below(94));
-  }
-  return text;
 }
 
 void expect_parse_or_clean_error(const std::string& text) {
@@ -171,15 +149,8 @@ TEST_P(ParserFuzz, RandomByteMutations) {
 }
 
 TEST_P(ParserFuzz, RandomLineDeletions) {
-  const std::string text = sample_netlist();
-  Rng rng(static_cast<std::uint64_t>(GetParam()) * 40503ULL + 3);
-  std::istringstream in(text);
-  std::ostringstream kept;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (rng.next_double() > 0.08) kept << line << '\n';
-  }
-  expect_parse_or_clean_error(kept.str());
+  expect_parse_or_clean_error(
+      fuzz::lines_deleted(sample_netlist(), static_cast<std::uint64_t>(GetParam())));
 }
 
 TEST_P(ParserFuzz, DefByteMutations) {
@@ -203,7 +174,7 @@ TEST_P(ParserFuzz, ServeLineMutations) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, ParserFuzz, ::testing::Range(1, 17));
+INSTANTIATE_TEST_SUITE_P(Seeds, ParserFuzz, ::testing::Range(fuzz::kFirstSeed, fuzz::kEndSeed));
 
 TEST(ParserRobustness, DeepNestingBounded) {
   // A module chain 64 deep elaborates fine (recursion is depth-bounded by
@@ -227,7 +198,7 @@ TEST(ParserRobustness, HugeTokenHandled) {
 
 TEST(ParserRobustness, HostileVectorWidthRejected) {
   // Each bit of a declared vector becomes a net: a width beyond the input
-  // size is refused before any net exists.
+  // size is refused before any net exists, and so is a negative bound.
   for (const char* decl :
        {"wire [2147483647:0] w;", "wire [0:2147483647] w;", "input [5:-2147483647] w;"}) {
     try {
@@ -237,6 +208,20 @@ TEST(ParserRobustness, HostileVectorWidthRejected) {
       EXPECT_EQ(e.code(), ErrorCode::ParseError) << decl;
       EXPECT_EQ(e.line(), 2) << decl;
       EXPECT_NE(std::string(e.what()).find("vector width"), std::string::npos) << e.what();
+    }
+  }
+  // A negative bound or bit index names no net: refused, not read as a
+  // scalar (`[-1:3]`) or as the unsuffixed name (`w[-1]`).
+  for (const char* stmt :
+       {"wire [-1:3] w;", "wire [3:-1] w;", "output [-2147483648:0] w;",
+        "wire [3:0] w; HIDAP_COMB g (.I0(w[-1]));"}) {
+    try {
+      parse_verilog_string(std::string("module top ();\n  ") + stmt + "\nendmodule\n");
+      ADD_FAILURE() << stmt << ": accepted";
+    } catch (const VerilogParseError& e) {
+      EXPECT_EQ(e.code(), ErrorCode::ParseError) << stmt;
+      EXPECT_EQ(e.line(), 2) << stmt;
+      EXPECT_NE(std::string(e.what()).find("negative"), std::string::npos) << e.what();
     }
   }
   const Design d = parse_verilog_string("module top ();\n  wire [7:0] w;\nendmodule\n");

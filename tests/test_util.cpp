@@ -11,6 +11,7 @@
 #include "util/job_control.hpp"
 #include "util/rng.hpp"
 #include "util/error.hpp"
+#include "util/hash.hpp"
 #include "util/string_utils.hpp"
 #include "util/text_cursor.hpp"
 #include "util/timer.hpp"
@@ -282,6 +283,30 @@ TEST(EnvTest, NonFiniteDoubleFallsBack) {
   EXPECT_EQ(env_double("HIDAP_TEST_KNOB", 0.5, 0.0, 1.0), 0.5);
 }
 
+TEST(HashTest, Xxh64MatchesPublishedVectors) {
+  EXPECT_EQ(xxh64("", 0), 0xef46db3751d8e999ull);
+  EXPECT_EQ(xxh64("a", 1), 0xd24ec4f1a98c6e5bull);
+  EXPECT_EQ(xxh64("abc", 3), 0x44bc2cf5ad770999ull);
+  // 39 bytes: one 32-byte stripe, then the 4-byte and single-byte tails.
+  const std::string_view spam = "Nobody inspects the spammish repetition";
+  EXPECT_EQ(xxh64(spam.data(), spam.size()), 0xfbcea83c8a378bf1ull);
+}
+
+TEST(HashTest, Xxh64SeesEveryByteAtEveryOffset) {
+  // Flipping any one byte of a 100-byte text (stripes plus 8-, 4- and
+  // 1-byte tails) changes the hash, and the seed changes it too.
+  std::string text(100, 'x');
+  const std::uint64_t base = xxh64(text.data(), text.size());
+  EXPECT_NE(xxh64(text.data(), text.size(), 1), base);
+  std::set<std::uint64_t> seen = {base};
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    text[i] = 'y';
+    seen.insert(xxh64(text.data(), text.size()));
+    text[i] = 'x';
+  }
+  EXPECT_EQ(seen.size(), text.size() + 1);
+}
+
 TEST(TextCursorTest, TokensAndLines) {
   TextCursor in("  alpha\n\n beta\tgamma \n");
   EXPECT_EQ(in.token(), "alpha");
@@ -307,6 +332,20 @@ TEST(TextCursorTest, ConsumeAndPeek) {
   EXPECT_EQ(in.peek(1), 'x');
   EXPECT_EQ(in.peek(2), '\0');  // the end
   EXPECT_EQ(in.rest().size(), 2u);
+}
+
+TEST(TextCursorTest, RunWithinLineStopsAtTheLineEnd) {
+  TextCursor in("n42_a$ b\nc");
+  const auto ident = [](char c) { return ascii::is_alpha(c) || ascii::is_digit(c) || c == '_'; };
+  EXPECT_EQ(in.take_within_line(ident), "n42_a");
+  EXPECT_EQ(in.peek(), '$');
+  EXPECT_EQ(in.take_within_line([](char c) { return !ascii::is_space(c); }), "$");
+  in.skip_ws();
+  EXPECT_EQ(in.take_within_line([](char c) { return c != '\n'; }), "b");
+  EXPECT_EQ(in.line(), 1);
+  EXPECT_EQ(in.token(), "c");
+  EXPECT_EQ(in.line(), 2);
+  EXPECT_EQ(in.take_within_line(ident), "");  // at the end
 }
 
 TEST(ParseNumberTest, WholeTokensOnly) {
