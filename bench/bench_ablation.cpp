@@ -55,8 +55,8 @@ int main() {
   std::printf("%-28s %10s\n", "flow", "WL(m)");
   print_rule(40);
   {
-    const PlacementResult hidap = run_hidap_flow(design, context, fo);
-    std::printf("%-28s %10.3f\n", "HiDaP (hier + dataflow)", eval_wl(hidap));
+    const FlowComparison cmp = compare_flows(design, fo);
+    std::printf("%-28s %10.3f\n", "HiDaP (hier + dataflow)", cmp.hidap.wl_m);
   }
   {
     FlatSaOptions o;

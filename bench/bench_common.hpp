@@ -71,8 +71,10 @@ inline FlowOptions bench_flow_options(std::uint64_t seed = 1) {
   if (env_fast()) {
     o.hidap.layout_anneal.moves_per_temperature = 40;
     o.hidap.shape_fp.anneal.moves_per_temperature = 30;
+    // handFP keeps its second seed: at effort 1 its seed-0 slots are
+    // HiDaP's own configurations, so one seed would compare HiDaP with
+    // itself.
     o.handfp_effort = 1.0;
-    o.handfp_seeds = 1;
     o.eval.place.solver_iterations = 20;
   }
   return o;
@@ -107,8 +109,8 @@ inline void finish_suite_observability() {
 }
 
 /// Parallel suite driver: generates every circuit and runs the 3-flow
-/// comparison, sharded across the global thread pool (circuits and the
-/// sweeps inside each flow nest on the same pool). Results come back in
+/// comparison, sharded across the global thread pool (circuits and each
+/// comparison's sweep nest on the same pool). Results come back in
 /// suite order and are bit-identical at any HIDAP_THREADS setting; only
 /// the wall clock changes. Per-circuit progress goes through the
 /// mutex-serialized util/log progress channel AND the process metric

@@ -29,29 +29,28 @@ int main() {
   const PlacementContext context(design, fo.hidap.seq);
   const std::string dir = out_dir();
 
+  const FlowComparison cmp = compare_flows(design, fo);
   struct Run {
     const char* tag;
-    PlacementResult result;
+    const Metrics& metrics;
+    const PlacementResult& result;
   };
-  std::vector<Run> runs;
-  runs.push_back({"indeda", run_indeda_flow(design, context, fo)});
-  runs.push_back({"hidap", run_hidap_flow(design, context, fo)});
-  runs.push_back({"handfp", run_handfp_flow(design, context, fo)});
+  const Run runs[] = {{"indeda", cmp.indeda, cmp.indeda_placement},
+                      {"hidap", cmp.hidap, cmp.hidap_placement},
+                      {"handfp", cmp.handfp, cmp.handfp_placement}};
 
   std::printf("%-8s %10s %11s %11s %11s\n", "flow", "WL(m)", "peak dens.",
               "peak@macro", "mean@macro");
   print_rule(58);
   double mean_near[3] = {0, 0, 0};
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    const Metrics m =
-        evaluate_placement(design, context.ht, context.seq, runs[i].result, fo.eval);
+  for (std::size_t i = 0; i < std::size(runs); ++i) {
     const PlacedDesign placed = place_cells(design, context.ht, runs[i].result, fo.eval.place);
     const DensityMap density = compute_density(placed, 64);
     mean_near[i] = density.mean_density_near_macros();
     write_density_ppm(density, dir + "/fig9_" + runs[i].tag + "_density.ppm");
     write_density_csv(density, dir + "/fig9_" + runs[i].tag + "_density.csv");
     write_placement_svg(design, runs[i].result, dir + "/fig9_" + runs[i].tag + ".svg");
-    std::printf("%-8s %10.3f %11.3f %11.3f %11.3f\n", runs[i].tag, m.wl_m,
+    std::printf("%-8s %10.3f %11.3f %11.3f %11.3f\n", runs[i].tag, runs[i].metrics.wl_m,
                 density.peak_cell_density(), density.peak_density_near_macros(),
                 mean_near[i]);
   }

@@ -2,11 +2,14 @@
 
 #include <cstddef>
 #include <limits>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "baseline/wall_packer.hpp"
+#include "obs/trace.hpp"
 #include "runtime/thread_pool.hpp"
+#include "util/error.hpp"
 #include "util/log.hpp"
 #include "util/timer.hpp"
 
@@ -14,11 +17,8 @@ namespace hidap {
 
 namespace {
 
-// One configuration of a sweep: the placement and its full evaluation,
-// produced by a pool task that only writes its own slot. The winner is
-// picked sequentially afterwards, in sweep order, so the selection -- and
-// therefore the returned placement -- is bit-identical at any thread
-// count (see runtime/thread_pool.hpp for the determinism contract).
+// One configuration of a sweep: its placement and full evaluation,
+// written only by the pool task that runs it.
 struct SweepSlot {
   PlacementResult result;
   Metrics metrics;
@@ -42,8 +42,8 @@ void run_slot(SweepSlot& slot, const Design& design, const PlacementContext& con
 // overlaps the other flows' and circuits' work, which would inflate the
 // Table II/III effort columns and make them thread-count dependent. The
 // selection evaluations are summed apart, into `eval_seconds`.
-PlacementResult take_best(std::vector<SweepSlot>& slots, const char* flow_name,
-                          double* eval_seconds) {
+PlacementResult take_best(std::span<SweepSlot> slots, const char* flow_name,
+                          double& eval_seconds) {
   PlacementResult best;
   double effort = 0.0;
   double evaluation = 0.0;
@@ -60,7 +60,7 @@ PlacementResult take_best(std::vector<SweepSlot>& slots, const char* flow_name,
   if (winner < slots.size()) best = std::move(slots[winner].result);
   best.runtime_seconds = effort;
   best.flow_name = flow_name;
-  if (eval_seconds != nullptr) *eval_seconds = evaluation;
+  eval_seconds = evaluation;
   return best;
 }
 
@@ -92,53 +92,10 @@ PlacementResult run_indeda_flow(const Design& design, const PlacementContext& co
   return result;
 }
 
-PlacementResult run_hidap_flow(const Design& design, const PlacementContext& context,
-                               const FlowOptions& options, double* eval_seconds) {
-  std::vector<SweepSlot> slots(std::size(HiDaPOptions::kLambdaSweep));
-  parallel_for(
-      slots.size(),
-      [&](std::size_t i) {
-        HiDaPOptions opts = options.hidap;  // copies the job state too
-        opts.lambda = HiDaPOptions::kLambdaSweep[i];
-        opts.job.seed = options.seed;
-        run_slot(slots[i], design, context, opts, options.eval);
-        if (JobControl* control = options.hidap.job.control) {
-          control->post_progress("hidap lambda=%.1f: WL=%.3f m (%.2fs)",
-                                 HiDaPOptions::kLambdaSweep[i], slots[i].metrics.wl_m,
-                                 slots[i].seconds);
-        }
-      },
-      effective_thread_count(options.hidap.num_threads));
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    HIDAP_LOG_INFO("HiDaP lambda=%.1f: WL=%.3f m", HiDaPOptions::kLambdaSweep[i],
-                   slots[i].metrics.wl_m);
-  }
-  return take_best(slots, "HiDaP", eval_seconds);
-}
-
-PlacementResult run_handfp_flow(const Design& design, const PlacementContext& context,
-                                const FlowOptions& options, double* eval_seconds) {
-  constexpr std::size_t kLambdas = std::size(HiDaPOptions::kLambdaSweep);
-  std::vector<SweepSlot> slots(static_cast<std::size_t>(options.handfp_seeds) * kLambdas);
-  parallel_for(
-      slots.size(),
-      [&](std::size_t t) {
-        const int s = static_cast<int>(t / kLambdas);
-        HiDaPOptions opts = options.hidap;  // copies the job state too
-        opts.lambda = HiDaPOptions::kLambdaSweep[t % kLambdas];
-        // Seed 0 re-runs the tool's own configuration at expert effort (the
-        // engineer starts from the tool output); later seeds explore.
-        opts.job.seed =
-            s == 0 ? options.seed
-                   : options.seed * 7919 + static_cast<std::uint64_t>(s) * 104729 + 13;
-        opts.scale_effort(options.handfp_effort);
-        run_slot(slots[t], design, context, opts, options.eval);
-      },
-      effective_thread_count(options.hidap.num_threads));
-  return take_best(slots, "handFP", eval_seconds);
-}
-
 FlowComparison compare_flows(const Design& design, const FlowOptions& flow_options) {
+  if (flow_options.handfp_seeds < 0) {
+    throw HidapError(ErrorCode::InvalidRequest, "handfp_seeds must not be negative");
+  }
   const PlacementContext context(design, flow_options.hidap.seq);
   // Every evaluation of the comparison shares one clustering and one set
   // of cluster links. A model passed in cannot match this function's own
@@ -146,24 +103,65 @@ FlowComparison compare_flows(const Design& design, const FlowOptions& flow_optio
   FlowOptions options = flow_options;
   options.eval.place.model = build_star_model(
       design, context.ht, options.eval.place.resolved_target_clusters());
+  const int lanes = effective_thread_count(options.hidap.num_threads);
   FlowComparison cmp;
-
-  // The three flows only read the shared design/context/model; each task
-  // fills its own Metrics member. Inner sweeps nest on the same pool.
-  const auto run_into = [&](Metrics& out, auto flow) {
-    return [&out, &design, &context, &options, flow]() {
-      double eval_seconds = 0.0;  // the flow's selection evaluations
-      const PlacementResult result = flow(design, context, options, &eval_seconds);
-      const Timer eval_timer;
-      out = evaluate_placement(design, context.ht, context.seq, result, options.eval);
-      out.eval_s = eval_seconds + eval_timer.seconds();
-    };
+  const auto evaluate = [&](Metrics& out, const PlacementResult& placement,
+                            double selection_seconds) {
+    const Timer eval_timer;
+    out = evaluate_placement(design, context.ht, context.seq, placement, options.eval);
+    out.eval_s = selection_seconds + eval_timer.seconds();
   };
-  const auto indeda = [](const Design& d, const PlacementContext& c, const FlowOptions& o,
-                         double*) { return run_indeda_flow(d, c, o); };
-  parallel_invoke({run_into(cmp.indeda, indeda), run_into(cmp.hidap, run_hidap_flow),
-                   run_into(cmp.handfp, run_handfp_flow)},
-                  effective_thread_count(options.hidap.num_threads));
+
+  // The one sweep (see flows.hpp): indices [0, handfp_slots) are handFP's
+  // slots, the next kLambdas HiDaP's, the last one IndEDA. Each index is
+  // an obs span `flow_config` tagged flow (0 IndEDA, 1 HiDaP, 2 handFP)
+  // and slot (its index within that flow).
+  constexpr std::size_t kLambdas = std::size(HiDaPOptions::kLambdaSweep);
+  const std::size_t handfp_slots = static_cast<std::size_t>(options.handfp_seeds) * kLambdas;
+  std::vector<SweepSlot> slots(handfp_slots + kLambdas);
+  parallel_for(
+      slots.size() + 1,
+      [&](std::size_t i) {
+        obs::Span span("flow_config", "flows");
+        if (i == slots.size()) {
+          span.arg("flow", 0);
+          cmp.indeda_placement = run_indeda_flow(design, context, options);
+          evaluate(cmp.indeda, cmp.indeda_placement, 0.0);
+          return;
+        }
+        const bool handfp = i < handfp_slots;
+        const std::size_t t = handfp ? i : i - handfp_slots;
+        span.arg("flow", handfp ? 2 : 1);
+        span.arg("slot", static_cast<std::int64_t>(t));
+        HiDaPOptions opts = options.hidap;  // copies the job state too
+        opts.lambda = HiDaPOptions::kLambdaSweep[t % kLambdas];
+        opts.job.seed = options.seed;
+        if (handfp) {
+          // Seed 0 re-runs the tool's own configuration at expert effort
+          // (the engineer starts from the tool output); later seeds explore.
+          const std::uint64_t s = t / kLambdas;
+          if (s > 0) opts.job.seed = options.seed * 7919 + s * 104729 + 13;
+          opts.scale_effort(options.handfp_effort);
+        }
+        run_slot(slots[i], design, context, opts, options.eval);
+        if (JobControl* control = options.hidap.job.control; control != nullptr && !handfp) {
+          control->post_progress("hidap lambda=%.1f: WL=%.3f m (%.2fs)", opts.lambda,
+                                 slots[i].metrics.wl_m, slots[i].seconds);
+        }
+      },
+      lanes);
+  for (std::size_t i = 0; i < kLambdas; ++i) {
+    HIDAP_LOG_INFO("HiDaP lambda=%.1f: WL=%.3f m", HiDaPOptions::kLambdaSweep[i],
+                   slots[handfp_slots + i].metrics.wl_m);
+  }
+  double hidap_eval = 0.0;  // each sweep's selection evaluations
+  double handfp_eval = 0.0;
+  const std::span<SweepSlot> sweep(slots);
+  cmp.hidap_placement = take_best(sweep.subspan(handfp_slots), "HiDaP", hidap_eval);
+  cmp.handfp_placement = take_best(sweep.first(handfp_slots), "handFP", handfp_eval);
+  parallel_invoke({[&] { evaluate(cmp.hidap, cmp.hidap_placement, hidap_eval); },
+                   [&] { evaluate(cmp.handfp, cmp.handfp_placement, handfp_eval); }},
+                  lanes);
 
   const double ref = cmp.handfp.wl_m > 0 ? cmp.handfp.wl_m : 1.0;
   cmp.indeda.wl_norm = cmp.indeda.wl_m / ref;

@@ -7,6 +7,15 @@
 //              search (seed x lambda sweep at ~3x SA effort, winner
 //              selected by fully evaluated wirelength).
 //
+// compare_flows runs them as one sweep: a single parallel_for over every
+// configuration, costliest first -- the handfp_seeds x 3 handFP slots,
+// the 3 HiDaP lambda slots, then IndEDA with its evaluation -- so the
+// cheap tail fills the lanes the long slots leave idle. Each slot writes
+// only its own index; after the join the winners are picked in sweep
+// order (lowest index wins a tie) and one parallel_invoke evaluates the
+// HiDaP and handFP winners. The results are therefore bit-identical at
+// any thread count; only the effort/eval seconds are wall-clock.
+//
 // See DESIGN.md for why the proxies preserve the paper's comparison.
 
 #include "core/hidap.hpp"
@@ -26,25 +35,18 @@ struct FlowOptions {
 PlacementResult run_indeda_flow(const Design& design, const PlacementContext& context,
                                 const FlowOptions& options = {});
 
-/// Lambda sweep; selection by fully evaluated wirelength (paper: "best WL
-/// of three"). The result's runtime_seconds sums the configurations'
-/// placement seconds; a non-null `eval_seconds` receives the seconds
-/// spent evaluating them.
-PlacementResult run_hidap_flow(const Design& design, const PlacementContext& context,
-                               const FlowOptions& options = {},
-                               double* eval_seconds = nullptr);
-
-/// Seed x lambda sweep at handfp_effort; timing as run_hidap_flow.
-PlacementResult run_handfp_flow(const Design& design, const PlacementContext& context,
-                                const FlowOptions& options = {},
-                                double* eval_seconds = nullptr);
-
 /// All three flows evaluated; wl_norm is filled relative to handFP
-/// (handFP = 1.000, like Table III).
+/// (handFP = 1.000, like Table III). A sweep flow's runtime_s sums its
+/// configurations' placement seconds and its eval_s their selection
+/// evaluations plus the winner's final one.
 struct FlowComparison {
   Metrics indeda;
   Metrics hidap;
   Metrics handfp;
+  /// The placements those metrics score (a sweep flow's winner).
+  PlacementResult indeda_placement;
+  PlacementResult hidap_placement;
+  PlacementResult handfp_placement;
 };
 FlowComparison compare_flows(const Design& design, const FlowOptions& options = {});
 

@@ -25,7 +25,6 @@ class ReportTable {
   void write_csv(const std::string& path) const;
 
   std::size_t row_count() const { return rows_.size(); }
-  const std::vector<std::string>& column_names() const { return columns_; }
 
  private:
   std::vector<std::string> columns_;

@@ -102,11 +102,14 @@ DefContents parse_def_text(std::string_view text) {
       number(y1, "y1");
       def.die = Rect{x0 / upm, y0 / upm, (x1 - x0) / upm, (y1 - y0) / upm};
     } else if (token == "COMPONENTS") {
+      // The count must match the entries: a miscount would drop macros.
       int count = 0;
       number(count, "component count");
+      if (count < 0) throw DefParseError("negative component count", line);
       expect(";");
-      for (int i = 0; i < count; ++i) {
-        if (expect("-") != "-") throw DefParseError("expected '-'", line);
+      const std::size_t first = def.components.size();
+      while (expect("'-' or END") != "END") {
+        if (token != "-") throw DefParseError("expected '-'", line);
         DefComponent comp;
         comp.name = expect("component name");
         comp.def_name = expect("def name");
@@ -123,6 +126,12 @@ DefContents parse_def_text(std::string_view text) {
         comp.orientation = orientation_from_string(expect("orientation"), line);
         expect(";");
         def.components.push_back(std::move(comp));
+      }
+      if (expect("COMPONENTS") != "COMPONENTS") throw DefParseError("expected COMPONENTS", line);
+      const std::size_t listed = def.components.size() - first;
+      if (listed != static_cast<std::size_t>(count)) {
+        throw DefParseError("COMPONENTS declares " + std::to_string(count) + " but lists " +
+                            std::to_string(listed), line);
       }
     } else if (token == "END") {
       expect("section name");  // COMPONENTS / PINS / DESIGN

@@ -117,7 +117,6 @@ class PlacementSession {
   JobCounters job_counters() const;
 
   ArtifactCache::Stats cache_stats() const { return cache_.stats(); }
-  const HiDaPOptions& base_options() const { return base_; }
 
  private:
   HiDaPOptions base_;

@@ -59,7 +59,6 @@ std::uint64_t fnv1a(const std::string& s) {
 }  // namespace
 
 bool FailPoint::fire(bool supports_error_return) {
-  evaluations_.fetch_add(1, std::memory_order_relaxed);
   Mode mode;
   ErrorCode code;
   int delay_ms;

@@ -58,7 +58,6 @@ class FailPoint {
   FailPoint& operator=(const FailPoint&) = delete;
 
   const std::string& name() const { return name_; }
-  ErrorCode default_code() const { return default_code_; }
 
   /// The disarmed fast path: one relaxed load.
   bool armed() const { return armed_.load(std::memory_order_relaxed); }
@@ -78,14 +77,7 @@ class FailPoint {
 
   /// Times this point actually fired (trigger selected the evaluation).
   std::uint64_t fire_count() const { return fires_.load(std::memory_order_relaxed); }
-  /// Armed-path evaluations, fired or not (disarmed calls don't count).
-  std::uint64_t evaluation_count() const {
-    return evaluations_.load(std::memory_order_relaxed);
-  }
-  void reset_counts() {
-    fires_.store(0, std::memory_order_relaxed);
-    evaluations_.store(0, std::memory_order_relaxed);
-  }
+  void reset_counts() { fires_.store(0, std::memory_order_relaxed); }
 
  private:
   const std::string name_;
@@ -106,7 +98,6 @@ class FailPoint {
   std::uint64_t trigger_ordinal_ = 0;  ///< evaluations since arm(), under mutex_
 
   std::atomic<std::uint64_t> fires_{0};
-  std::atomic<std::uint64_t> evaluations_{0};
 };
 
 /// Process-global registry. The full site table is declared statically

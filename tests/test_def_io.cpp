@@ -121,6 +121,42 @@ TEST(DefIo, MalformedInputThrows) {
   }
 }
 
+// The declared COMPONENTS count must equal the entries listed before
+// END COMPONENTS: a miscount would silently drop preplaced macros, so it
+// is a typed error with the line that exposes it.
+TEST(DefIo, ComponentCountMustMatchEntries) {
+  const std::string entry = "- a B + PLACED ( 0 0 ) R0 ;\n";
+  const struct {
+    std::string text;
+    int line;
+    const char* message;
+  } rows[] = {
+      {"COMPONENTS 1 ;\n" + entry + entry + entry + "END COMPONENTS\n", 5,
+       "declares 1 but lists 3"},
+      {"COMPONENTS 3 ;\n" + entry + "END COMPONENTS\n", 3, "declares 3 but lists 1"},
+      {"COMPONENTS 1 ;\nEND COMPONENTS\n", 2, "declares 1 but lists 0"},
+      {"COMPONENTS -2 ;\n" + entry + entry + "END COMPONENTS\n", 1,
+       "negative component count"},
+      {"COMPONENTS 1 ;\n" + entry + "END PINS\n", 3, "expected COMPONENTS"},
+      {"COMPONENTS 1 ;\n" + entry, 2, "expected '-' or END"},
+  };
+  for (const auto& row : rows) {
+    try {
+      parse_def_text(row.text);
+      ADD_FAILURE() << "accepted: " << row.text;
+    } catch (const DefParseError& e) {
+      EXPECT_EQ(e.line(), row.line) << e.what();
+      EXPECT_NE(std::string(e.what()).find(row.message), std::string::npos) << e.what();
+      EXPECT_EQ(e.code(), ErrorCode::ParseError);
+    }
+  }
+  // Matching counts, including an empty section, still parse.
+  EXPECT_EQ(parse_def_text("COMPONENTS 2 ;\n" + entry + entry + "END COMPONENTS\n")
+                .components.size(),
+            2u);
+  EXPECT_TRUE(parse_def_text("COMPONENTS 0 ;\nEND COMPONENTS\n").components.empty());
+}
+
 TEST(DefIo, FileRoundTrip) {
   auto& fx = fixture();
   const std::string path = "test_def_io.def";

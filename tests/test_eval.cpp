@@ -1,15 +1,33 @@
 // Evaluation pipeline tests: metrics are produced end to end, flows can
-// be compared, and the ordering HiDaP claims is at least achievable on a
-// structured circuit (loose sanity, the benches do the real comparison).
+// be compared, the ordering HiDaP claims is at least achievable on a
+// structured circuit (loose sanity, the benches do the real comparison),
+// and the one-sweep compare_flows matches the nested schedule it
+// replaced (reference_flows.hpp) bit for bit.
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <map>
+#include <set>
+#include <string>
+#include <string_view>
+#include <tuple>
+
+#include "bench_common.hpp"
 #include "eval/flows.hpp"
+#include "force_pool_lanes.hpp"
 #include "gen/suite.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
+#include "reference_flows.hpp"
+#include "util/error.hpp"
 #include "util/log.hpp"
 
 namespace hidap {
 namespace {
+
+const int kForcedPoolLanes = test_support::force_pool_lanes();
 
 FlowOptions quick_flow_options() {
   FlowOptions o;
@@ -53,23 +71,74 @@ TEST(Eval, MetricsPopulated) {
 TEST(Eval, HidapFlowSelectsBestLambda) {
   auto& fx = fixture();
   const FlowOptions opt = quick_flow_options();
-  const PlacementResult r = run_hidap_flow(fx.d, fx.ctx, opt);
+  const FlowComparison cmp = compare_flows(fx.d, opt);
+  const PlacementResult& r = cmp.hidap_placement;
   EXPECT_EQ(r.flow_name, "HiDaP");
+  EXPECT_EQ(cmp.hidap.flow, "HiDaP");
   EXPECT_EQ(r.macros.size(), fx.d.macro_count());
   EXPECT_GT(r.runtime_seconds, 0.0);
+  EXPECT_EQ(cmp.hidap.runtime_s, r.runtime_seconds);
+  // The winner is the lambda with the lowest evaluated wirelength: no
+  // single-lambda run beats it.
+  for (const double lambda : HiDaPOptions::kLambdaSweep) {
+    HiDaPOptions o = opt.hidap;
+    o.lambda = lambda;
+    o.job.seed = opt.seed;
+    const Metrics m = evaluate_placement(fx.d, fx.ctx.ht, fx.ctx.seq,
+                                         place_macros(fx.d, fx.ctx, o), opt.eval);
+    EXPECT_LE(cmp.hidap.wl_m, m.wl_m) << "lambda " << lambda;
+  }
 }
 
 TEST(Eval, HandfpIsAtLeastAsGoodAsSingleRun) {
   auto& fx = fixture();
   FlowOptions opt = quick_flow_options();
   opt.handfp_seeds = 2;
-  const PlacementResult hidap = run_hidap_flow(fx.d, fx.ctx, opt);
-  const PlacementResult handfp = run_handfp_flow(fx.d, fx.ctx, opt);
-  const Metrics mh = evaluate_placement(fx.d, fx.ctx.ht, fx.ctx.seq, hidap, opt.eval);
-  const Metrics mf = evaluate_placement(fx.d, fx.ctx.ht, fx.ctx.seq, handfp, opt.eval);
+  const FlowComparison cmp = compare_flows(fx.d, opt);
+  EXPECT_EQ(cmp.handfp_placement.flow_name, "handFP");
+  EXPECT_EQ(cmp.handfp_placement.macros.size(), fx.d.macro_count());
   // handFP explores a superset of configurations with more effort; allow
   // a small tolerance for SA noise.
-  EXPECT_LE(mf.wl_m, mh.wl_m * 1.10);
+  EXPECT_LE(cmp.handfp.wl_m, cmp.hidap.wl_m * 1.10);
+}
+
+TEST(Eval, CompareFlowsRefusesNegativeHandfpSeeds) {
+  auto& fx = fixture();
+  FlowOptions opt = quick_flow_options();
+  opt.handfp_seeds = -1;
+  try {
+    compare_flows(fx.d, opt);
+    FAIL() << "negative handfp_seeds accepted";
+  } catch (const HidapError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::InvalidRequest) << e.what();
+  }
+}
+
+// Every configuration of the sweep is one `flow_config` span, so a trace
+// shows which one set the comparison's tail; tracing changes no metric.
+TEST(Eval, OneFlowConfigSpanPerConfiguration) {
+  auto& fx = fixture();
+  const FlowOptions opt = quick_flow_options();  // 1 handFP seed: 3 + 3 + 1
+  const FlowComparison off = compare_flows(fx.d, opt);
+  obs::Tracer::instance().clear();
+  obs::set_tracing_enabled(true);
+  const FlowComparison on = compare_flows(fx.d, opt);
+  obs::set_tracing_enabled(false);
+  // Per flow tag (0 IndEDA, 1 HiDaP, 2 handFP), the slots seen.
+  std::map<std::int64_t, std::set<std::int64_t>> slots;
+  for (const obs::TraceEvent& e : obs::Tracer::instance().collect()) {
+    if (std::string_view(e.name) != "flow_config") continue;
+    ASSERT_GE(e.arg_count, 1);
+    EXPECT_STREQ(e.arg_name[0], "flow");
+    const std::int64_t slot = e.arg_count > 1 ? e.arg_value[1] : 0;
+    EXPECT_TRUE(slots[e.arg_value[0]].insert(slot).second) << "repeated slot " << slot;
+  }
+  EXPECT_EQ(slots[0], (std::set<std::int64_t>{0}));
+  EXPECT_EQ(slots[1], (std::set<std::int64_t>{0, 1, 2}));
+  EXPECT_EQ(slots[2], (std::set<std::int64_t>{0, 1, 2}));
+  EXPECT_EQ(on.hidap.wl_m, off.hidap.wl_m);
+  EXPECT_EQ(on.handfp.wl_m, off.handfp.wl_m);
+  EXPECT_EQ(on.indeda.wl_m, off.indeda.wl_m);
 }
 
 TEST(Eval, QuickWirelengthTracksDistance) {
@@ -103,6 +172,70 @@ TEST(Eval, CompareFlowsNormalizesToHandfp) {
   EXPECT_NEAR(cmp.hidap.wl_norm, cmp.hidap.wl_m / cmp.handfp.wl_m, 1e-9);
   EXPECT_GT(cmp.indeda.wl_m, 0.0);
 }
+
+bool bits_equal(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+void expect_same_quality(const Metrics& a, const Metrics& b) {
+  EXPECT_EQ(a.flow, b.flow);
+  EXPECT_TRUE(bits_equal(a.wl_m, b.wl_m)) << a.flow << ": " << a.wl_m << " vs " << b.wl_m;
+  EXPECT_TRUE(bits_equal(a.wl_norm, b.wl_norm)) << a.flow;
+  EXPECT_TRUE(bits_equal(a.grc_percent, b.grc_percent)) << a.flow;
+  EXPECT_TRUE(bits_equal(a.wns_percent, b.wns_percent)) << a.flow;
+  EXPECT_TRUE(bits_equal(a.tns_ns, b.tns_ns)) << a.flow;
+  EXPECT_TRUE(bits_equal(a.peak_density_near_macros, b.peak_density_near_macros)) << a.flow;
+}
+
+std::uint64_t evaluations() {
+  return obs::default_registry().counter("eval.evaluations").value();
+}
+
+// (circuit, num_threads, flow seed): "fig1" is the 16-macro Fig. 1
+// design, c1 the first paper circuit at a small scale. Seed 1 is the
+// Table II default; seed 2 checks the seed formulas, which seed 1 cannot
+// tell apart from their mirror images. Each circuit runs once per
+// thread count, to keep the TSan leg short.
+class FlowScheduleOracle
+    : public ::testing::TestWithParam<std::tuple<const char*, int, int>> {};
+
+TEST_P(FlowScheduleOracle, CompareFlowsMatchesNestedScheduleBitwise) {
+  set_log_level(LogLevel::Warn);
+  const auto [circuit, threads, seed] = GetParam();
+  const Design design = generate_circuit(std::string(circuit) == "fig1"
+                                             ? fig1_spec()
+                                             : suite_circuit(circuit, 0.003).spec);
+  FlowOptions options = benchutil::bench_flow_options(static_cast<std::uint64_t>(seed));
+  options.hidap.num_threads = threads;
+
+  const std::uint64_t before = evaluations();
+  const FlowComparison nested = reference::compare_flows(design, options);
+  const std::uint64_t between = evaluations();
+  const FlowComparison flat = compare_flows(design, options);
+  const std::uint64_t after = evaluations();
+
+  expect_same_quality(flat.indeda, nested.indeda);
+  expect_same_quality(flat.hidap, nested.hidap);
+  expect_same_quality(flat.handfp, nested.handfp);
+  // IndEDA 1, HiDaP's 3 lambdas + its winner, handFP's 2 x 3 seed x
+  // lambda slots + its winner.
+  EXPECT_EQ(between - before, 12u);
+  EXPECT_EQ(after - between, between - before);
+  for (const Metrics* m : {&flat.indeda, &flat.hidap, &flat.handfp}) {
+    EXPECT_GT(m->eval_s, 0.0) << m->flow;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Circuits, FlowScheduleOracle,
+                         ::testing::Values(std::make_tuple("fig1", 1, 1),
+                                           std::make_tuple("fig1", 4, 2),
+                                           std::make_tuple("c1", 1, 1),
+                                           std::make_tuple("c1", 4, 2)),
+                         [](const auto& info) {
+                           return std::string(std::get<0>(info.param)) + "_threads" +
+                                  std::to_string(std::get<1>(info.param)) + "_seed" +
+                                  std::to_string(std::get<2>(info.param));
+                         });
 
 }  // namespace
 }  // namespace hidap

@@ -13,6 +13,7 @@
 
 #include "core/layout_optimizer.hpp"
 #include "eval/flows.hpp"
+#include "force_pool_lanes.hpp"
 #include "gen/suite.hpp"
 #include "runtime/thread_pool.hpp"
 #include "util/log.hpp"
@@ -20,14 +21,10 @@
 namespace hidap {
 namespace {
 
-// Force an 8-lane global pool before its first use so every test that
-// goes through the free parallel_for/compare_flows path genuinely
-// threads, even on single-core CI runners (oversubscription is fine --
-// determinism must not depend on the host's core count).
-const int kForcedPoolLanes = [] {
-  ThreadPool::set_default_thread_count(8);
-  return 8;
-}();
+// Every test that goes through the free parallel_for/compare_flows path
+// genuinely threads, even on single-core CI runners; an explicit
+// HIDAP_THREADS (the TSan `ctest -L scheduler` leg) sets the lane count.
+const int kForcedPoolLanes = test_support::force_pool_lanes();
 
 TEST(ThreadPool, GlobalPoolHonorsForcedLaneCount) {
   EXPECT_EQ(ThreadPool::default_thread_count(), kForcedPoolLanes);
@@ -153,10 +150,10 @@ FlowOptions quick_flow_options() {
   return o;
 }
 
-// The ISSUE's acceptance guarantee, in miniature: the full 3-flow
-// comparison (lambda sweep, seed x lambda sweep, nested pool sections)
-// yields identical metrics with 1 thread and with an oversubscribed
-// 8-lane pool.
+// The determinism guarantee, in miniature: the full 3-flow comparison
+// (one sweep over every configuration, with the recursion scheduler's
+// pool sections nested inside) yields identical metrics with 1 thread
+// and with every lane of the pool.
 TEST(Determinism, CompareFlowsIdenticalAtOneAndManyThreads) {
   set_log_level(LogLevel::Warn);
   const Design design = generate_circuit(fig1_spec());
